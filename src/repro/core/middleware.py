@@ -34,6 +34,7 @@ from ..engine.dump import (
     dump,
     dump_stream,
     finalize_indexes,
+    install_watermark_rows,
     plan_chunks,
     restore,
     restore_duration,
@@ -2173,9 +2174,8 @@ class Middleware:
                 fail_destination("%s crashed during watermark install"
                                  % run.destination)
                 return restore_span
-            csn = run.dest_instance.next_csn()
-            for table_name, key, row in fresh:
-                dest_tenant.table(table_name).install(key, csn, row)
+            install_watermark_rows(dest_tenant,
+                                   run.dest_instance.next_csn(), fresh)
             # Fan the deduplicated chunk out to the standbys before any
             # consumer resumes past ``hi``: installs must land strictly
             # between the in-window records and anything newer on every
@@ -2212,11 +2212,8 @@ class Middleware:
                     self._drop_standby(state, name, phase="watermark",
                                        reason=standby_error)
                     continue
-                standby_csn = instance.next_csn()
-                standby_tenant = instance.tenant(tenant)
-                for table_name, key, row in fresh:
-                    standby_tenant.table(table_name).install(
-                        key, standby_csn, row)
+                install_watermark_rows(instance.tenant(tenant),
+                                       instance.next_csn(), fresh)
             if not hi.proceed.triggered:
                 hi.proceed.succeed()
             self.tracer.event("watermark.hi", tenant=tenant,

@@ -312,26 +312,34 @@ def states_equal(master: TenantDatabase,
                  slave: TenantDatabase) -> Tuple[bool, List[str]]:
     """Compare the logical states of two tenants (Theorem 2 check).
 
-    Returns (equal, differences); differences name the first few
-    mismatching tables/keys for debuggability.
+    Every live row of every table is compared: each table's
+    ``{key: latest row}`` maps are compared whole, and only a table
+    that differs is walked key by key.  Returns (equal, differences);
+    differences name the first few mismatching tables/keys for
+    debuggability.
     """
-    master_state = master.state_fingerprint()
-    slave_state = slave.state_fingerprint()
     differences: List[str] = []
-    for table in sorted(set(master_state) | set(slave_state)):
-        m_rows = master_state.get(table)
-        s_rows = slave_state.get(table)
-        if m_rows is None or s_rows is None:
+    for table in sorted(set(master.tables) | set(slave.tables)):
+        m_table = master.tables.get(table)
+        s_table = slave.tables.get(table)
+        if m_table is None or s_table is None:
             differences.append("table %r missing on %s"
-                               % (table, "slave" if s_rows is None
+                               % (table, "slave" if s_table is None
                                   else "master"))
             continue
-        keys = set(m_rows) | set(s_rows)
-        for key in sorted(keys, key=repr):
-            if m_rows.get(key) != s_rows.get(key):
+        m_rows = m_table.latest_row_map()
+        s_rows = s_table.latest_row_map()
+        if m_rows == s_rows:
+            continue
+        m_items = {key: tuple(sorted(row.items()))
+                   for key, row in m_rows.items()}
+        s_items = {key: tuple(sorted(row.items()))
+                   for key, row in s_rows.items()}
+        for key in sorted(set(m_items) | set(s_items), key=repr):
+            if m_items.get(key) != s_items.get(key):
                 differences.append(
                     "table %r key %r: master=%r slave=%r"
-                    % (table, key, m_rows.get(key), s_rows.get(key)))
+                    % (table, key, m_items.get(key), s_items.get(key)))
                 if len(differences) >= 20:
                     return False, differences
     return not differences, differences

@@ -8,7 +8,10 @@ table, and size accounting used by the migration experiments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, Optional, Tuple
+import gc
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterator, Mapping,
+                    Optional, Tuple)
 
 from ..errors import SchemaError
 from .mvcc import Row, SecondaryIndex, VersionChain
@@ -17,6 +20,28 @@ from .schema import Catalog, TableSchema
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
     from .locks import LockTable
+
+
+@contextmanager
+def _collector_paused(allocations: int) -> Iterator[None]:
+    """Hold off Python's cyclic garbage collector for a bulk load.
+
+    A bulk load makes ``allocations`` container objects that all outlive
+    it, and creates no reference cycles.  When that is more than the
+    collector's youngest generation holds, the collections the load
+    triggers reclaim nothing, yet every few of them escalate to a full
+    collection that walks the whole heap.  A smaller load triggers at
+    most one collection; pausing for it would only shift the collector's
+    schedule, so it runs unpaused.
+    """
+    if allocations <= gc.get_threshold()[0] or not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class Table:
@@ -29,6 +54,10 @@ class Table:
             name: SecondaryIndex(column)
             for name, column in schema.indexes.items()
         }
+        #: Keys whose latest committed version is a row (not a
+        #: tombstone); kept by :meth:`install` and :meth:`install_many`
+        #: so size accounting never rescans the chains.
+        self._live_rows = 0
 
     # ------------------------------------------------------------------
     def chain(self, key: Hashable) -> Optional[VersionChain]:
@@ -48,11 +77,34 @@ class Table:
         chain = self.chain_or_create(key)
         old = chain.latest()
         chain.install(csn, row)
+        self._live_rows += (row is not None) - (old is not None)
         for index in self.indexes.values():
             if old is not None:
                 index.remove(old.get(index.column), key)
             if row is not None:
                 index.add(row.get(index.column), key)
+
+    def install_many(self, csn: int, rows: Mapping[Hashable, Row]) -> None:
+        """Bulk-load copies of the live ``rows`` as committed at ``csn``.
+
+        The one row-load path of restores and watermark chunk installs.
+        A key that has no chain yet gets one holding its first version
+        directly; a key that already has a chain, and every row of a
+        table with secondary indexes, goes through :meth:`install` and
+        its monotonic-CSN and index maintenance.
+        """
+        chains = self.chains
+        # A fresh chain is three containers: the chain and its two lists.
+        with _collector_paused(3 * len(rows)):
+            for key, row in rows.items():
+                if self.indexes or key in chains:
+                    self.install(key, csn, dict(row))
+                    continue
+                chain = VersionChain()
+                chain.csns.append(csn)
+                chain.rows.append(dict(row))
+                chains[key] = chain
+                self._live_rows += 1
 
     def create_index(self, index_name: str, column: str) -> None:
         """Build a new secondary index over the latest committed versions."""
@@ -80,9 +132,14 @@ class Table:
             if row is not None:
                 yield key, row
 
+    def latest_row_map(self) -> Dict[Hashable, Row]:
+        """``{key: latest committed row}``, tombstones left out."""
+        return {key: row for key, chain in self.chains.items()
+                if chain.rows and (row := chain.rows[-1]) is not None}
+
     def live_row_count(self) -> int:
         """Number of non-deleted rows in the latest committed state."""
-        return sum(1 for _ in self.latest_rows())
+        return self._live_rows
 
 
 class TenantDatabase:

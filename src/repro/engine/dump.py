@@ -28,9 +28,11 @@ Two snapshot paths coexist:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
+from typing import (Any, Dict, Generator, Hashable, Iterable, List, Optional,
+                    Tuple)
 
 from ..errors import NodeCrashed
 from .instance import DbmsInstance
@@ -195,9 +197,7 @@ def restore(instance: DbmsInstance, snapshot: LogicalSnapshot,
     # Bulk-install the snapshot rows at a fresh CSN on the destination.
     csn = instance.next_csn()
     for table_name, table_rows in snapshot.rows.items():
-        table = tenant.table(table_name)
-        for key, row in table_rows.items():
-            table.install(key, csn, dict(row))
+        tenant.table(table_name).install_many(csn, table_rows)
     # Recreate secondary indexes (their build time is inside ``duration``).
     for spec in snapshot.schemas:
         table = tenant.table(spec.name)
@@ -388,9 +388,7 @@ def restore_stream(instance: DbmsInstance, source: Any,
             raise NodeCrashed(instance.name, "crashed during restore")
         csn = instance.next_csn()
         for table_name, table_rows in chunk.rows.items():
-            table = tenant.table(table_name)
-            for key, row in table_rows.items():
-                table.install(key, csn, dict(row))
+            tenant.table(table_name).install_many(csn, table_rows)
         received = max(received, chunk.index + 1)
         if on_chunk is not None:
             on_chunk(chunk)
@@ -443,17 +441,18 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
     for table_name in sorted(tenant.catalog.table_names()):
         if cursor is not None and table_name < cursor[0]:
             continue
-        table = tenant.table(table_name)
-        latest = dict(table.latest_rows())
-        for key in sorted(latest):
-            if (cursor is not None and table_name == cursor[0]
-                    and not key > cursor[1]):
-                continue
-            rows.append((table_name, key, dict(latest[key])))
-            if len(rows) >= max_rows:
-                next_cursor = (table_name, key)
-                break
-        if next_cursor is not None:
+        chains = tenant.table(table_name).chains
+        live: Iterable[Hashable] = (key for key, chain in chains.items()
+                                    if chain.latest() is not None)
+        if cursor is not None and table_name == cursor[0]:
+            after = cursor[1]
+            live = (key for key in live if key > after)
+        # Only the next keys of the walk are ordered, never the table.
+        keys = heapq.nsmallest(max_rows - len(rows), live)
+        rows.extend((table_name, key, dict(chains[key].latest()))
+                    for key in keys)
+        if len(rows) >= max_rows:
+            next_cursor = (table_name, keys[-1])
             break
     if instance.crashed:
         raise NodeCrashed(instance.name, "crashed during chunk select")
@@ -465,3 +464,14 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
         if pace > 0:
             yield instance.env.timeout(pace)
     return rows, next_cursor
+
+
+def install_watermark_rows(tenant: Any, csn: int,
+                           rows: List[Tuple[str, Hashable, Dict[str, Any]]]
+                           ) -> None:
+    """Bulk-load ``(table, key, row)`` chunk rows at ``csn``."""
+    by_table: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
+    for table_name, key, row in rows:
+        by_table.setdefault(table_name, {})[key] = row
+    for table_name, table_rows in by_table.items():
+        tenant.table(table_name).install_many(csn, table_rows)
