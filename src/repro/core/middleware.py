@@ -34,7 +34,6 @@ from ..engine.dump import (
     dump,
     dump_stream,
     finalize_indexes,
-    install_watermark_rows,
     plan_chunks,
     restore,
     restore_duration,
@@ -980,6 +979,12 @@ class Middleware:
         dest_instance = self.cluster.node(destination).instance
         standby_instances = {name: self.cluster.node(name).instance
                              for name in standbys}
+        # A copy already on a target (a source copy an earlier move kept,
+        # a former standby) is stale; only a resumed migration reuses
+        # its own journalled partial copy.
+        for instance in [dest_instance, *standby_instances.values()]:
+            if instance.has_tenant(tenant):
+                instance.drop_tenant(tenant)
         # Supervise the master for the whole migration: a source crash
         # must abort (Section 4.2) even in phases where nothing else
         # would notice — the middleware buffers the syncsets, so replay
@@ -2145,10 +2150,13 @@ class Middleware:
                 fail_destination(applier.failed or "replay failed")
                 return restore_span
             window = tap.window_keys(lo, hi)
-            fresh = [(table_name, key, row)
-                     for table_name, key, row in rows
-                     if (table_name, key) not in window]
-            chunk_mb = mb_per_row * len(fresh)
+            fresh = {table_name: {key: row
+                                  for key, row in table_rows.items()
+                                  if (table_name, key) not in window}
+                     for table_name, table_rows in rows.items()}
+            selected = sum(map(len, rows.values()))
+            kept = sum(map(len, fresh.values()))
+            chunk_mb = mb_per_row * kept
             attempt = 0
             while True:
                 try:
@@ -2174,8 +2182,7 @@ class Middleware:
                 fail_destination("%s crashed during watermark install"
                                  % run.destination)
                 return restore_span
-            install_watermark_rows(dest_tenant,
-                                   run.dest_instance.next_csn(), fresh)
+            dest_tenant.install_many(run.dest_instance.next_csn(), fresh)
             # Fan the deduplicated chunk out to the standbys before any
             # consumer resumes past ``hi``: installs must land strictly
             # between the in-window records and anything newer on every
@@ -2212,13 +2219,13 @@ class Middleware:
                     self._drop_standby(state, name, phase="watermark",
                                        reason=standby_error)
                     continue
-                install_watermark_rows(instance.tenant(tenant),
-                                       instance.next_csn(), fresh)
+                instance.tenant(tenant).install_many(instance.next_csn(),
+                                                     fresh)
             if not hi.proceed.triggered:
                 hi.proceed.succeed()
             self.tracer.event("watermark.hi", tenant=tenant,
-                              chunk=chunk_index, rows=len(rows),
-                              deduped=len(rows) - len(fresh),
+                              chunk=chunk_index, rows=selected,
+                              deduped=selected - kept,
                               window=len(window))
             chunk_index += 1
             report.chunks += 1

@@ -1,4 +1,4 @@
-"""Tenant databases: tables of version chains plus secondary indexes.
+"""Tenant databases: tables of row versions plus secondary indexes.
 
 One :class:`TenantDatabase` is one customer's database inside a shared
 DBMS process (the shared process model of Curino et al. that the paper
@@ -8,10 +8,8 @@ table, and size accounting used by the migration experiments.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import (TYPE_CHECKING, Dict, Hashable, Iterator, Mapping,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterator, KeysView,
+                    Mapping, Optional, Tuple)
 
 from ..errors import SchemaError
 from .mvcc import Row, SecondaryIndex, VersionChain
@@ -22,61 +20,78 @@ if TYPE_CHECKING:  # pragma: no cover
     from .locks import LockTable
 
 
-@contextmanager
-def _collector_paused(allocations: int) -> Iterator[None]:
-    """Hold off Python's cyclic garbage collector for a bulk load.
-
-    A bulk load makes ``allocations`` container objects that all outlive
-    it, and creates no reference cycles.  When that is more than the
-    collector's youngest generation holds, the collections the load
-    triggers reclaim nothing, yet every few of them escalate to a full
-    collection that walks the whole heap.  A smaller load triggers at
-    most one collection; pausing for it would only shift the collector's
-    schedule, so it runs unpaused.
-    """
-    if allocations <= gc.get_threshold()[0] or not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 class Table:
-    """Heap + indexes of one table inside a tenant database."""
+    """Heap + indexes of one table inside a tenant database.
+
+    Each key's newest committed version sits in two flat dicts, key ->
+    row (``None`` for a tombstone) and key -> CSN; only a superseded
+    version moves to the key's :class:`VersionChain` history.  Python's
+    cyclic collector does not track a row dict of atomic values, so a
+    key written once costs it nothing.
+    """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self.chains: Dict[Hashable, VersionChain] = {}
+        self._heads: Dict[Hashable, Optional[Row]] = {}
+        self._head_csns: Dict[Hashable, int] = {}
+        #: key -> the superseded versions, ascending by CSN.
+        self._history: Dict[Hashable, VersionChain] = {}
         self.indexes: Dict[str, SecondaryIndex] = {
             name: SecondaryIndex(column)
             for name, column in schema.indexes.items()
         }
         #: Keys whose latest committed version is a row (not a
         #: tombstone); kept by :meth:`install` and :meth:`install_many`
-        #: so size accounting never rescans the chains.
+        #: so size accounting never rescans the heap.
         self._live_rows = 0
 
     # ------------------------------------------------------------------
-    def chain(self, key: Hashable) -> Optional[VersionChain]:
-        """The version chain of ``key``, or None if never written."""
-        return self.chains.get(key)
+    def keys(self) -> KeysView[Hashable]:
+        """Every key ever written, tombstoned ones included."""
+        return self._heads.keys()
 
-    def chain_or_create(self, key: Hashable) -> VersionChain:
-        """The version chain of ``key``, creating an empty one if needed."""
-        chain = self.chains.get(key)
-        if chain is None:
-            chain = VersionChain()
-            self.chains[key] = chain
+    def read(self, key: Hashable, snapshot_csn: int) -> Optional[Row]:
+        """Newest version of ``key`` visible at ``snapshot_csn``."""
+        csn = self._head_csns.get(key)
+        if csn is not None and snapshot_csn >= csn:  # read-latest
+            return self._heads[key]
+        older = self._history.get(key)
+        return older.read(snapshot_csn) if older is not None else None
+
+    def latest(self, key: Hashable) -> Optional[Row]:
+        """The newest committed version of ``key`` (None if absent)."""
+        return self._heads.get(key)
+
+    def latest_csn(self, key: Hashable) -> int:
+        """CSN of the newest committed version of ``key``, 0 if none."""
+        return self._head_csns.get(key, 0)
+
+    def chain(self, key: Hashable) -> Optional[VersionChain]:
+        """A copy of ``key``'s versions, or None if never written."""
+        if key not in self._heads:
+            return None
+        chain = VersionChain()
+        older = self._history.get(key)
+        if older is not None:
+            chain.csns, chain.rows = older.csns[:], older.rows[:]
+        chain.install(self._head_csns[key], self._heads[key])
         return chain
 
     def install(self, key: Hashable, csn: int, row: Optional[Row]) -> None:
         """Install a committed version and maintain secondary indexes."""
-        chain = self.chain_or_create(key)
-        old = chain.latest()
-        chain.install(csn, row)
+        old = None
+        if key in self._heads:
+            head_csn = self._head_csns[key]
+            if csn <= head_csn:
+                raise ValueError("non-monotonic CSN %d after %d"
+                                 % (csn, head_csn))
+            old = self._heads[key]
+            older = self._history.get(key)
+            if older is None:
+                older = self._history[key] = VersionChain()
+            older.install(head_csn, old)
+        self._heads[key] = row
+        self._head_csns[key] = csn
         self._live_rows += (row is not None) - (old is not None)
         for index in self.indexes.values():
             if old is not None:
@@ -88,54 +103,48 @@ class Table:
         """Bulk-load copies of the live ``rows`` as committed at ``csn``.
 
         The one row-load path of restores and watermark chunk installs.
-        A key that has no chain yet gets one holding its first version
-        directly; a key that already has a chain, and every row of a
-        table with secondary indexes, goes through :meth:`install` and
-        its monotonic-CSN and index maintenance.
+        Rows of keys never written before become heads in one pass; if
+        any key already has a version, or the table has secondary
+        indexes, every row goes through :meth:`install` and its
+        monotonic-CSN and index maintenance.
         """
-        chains = self.chains
-        # A fresh chain is three containers: the chain and its two lists.
-        with _collector_paused(3 * len(rows)):
+        if self.indexes or not self._heads.keys().isdisjoint(rows):
             for key, row in rows.items():
-                if self.indexes or key in chains:
-                    self.install(key, csn, dict(row))
-                    continue
-                chain = VersionChain()
-                chain.csns.append(csn)
-                chain.rows.append(dict(row))
-                chains[key] = chain
-                self._live_rows += 1
+                self.install(key, csn, dict(row))
+            return
+        self._heads.update(zip(rows, map(dict, rows.values())))
+        self._head_csns.update(dict.fromkeys(rows, csn))
+        self._live_rows += len(rows)
 
     def create_index(self, index_name: str, column: str) -> None:
         """Build a new secondary index over the latest committed versions."""
         self.schema.add_index(index_name, column)
         index = SecondaryIndex(column)
-        for key, chain in self.chains.items():
-            row = chain.latest()
-            if row is not None:
-                index.add(row.get(column), key)
+        for key, row in self.latest_rows():
+            index.add(row.get(column), key)
         self.indexes[index_name] = index
 
     # ------------------------------------------------------------------
     def latest_rows(self) -> Iterator[Tuple[Hashable, Row]]:
         """Iterate over (key, latest committed row), skipping tombstones."""
-        for key, chain in self.chains.items():
-            row = chain.latest()
+        for key, row in self._heads.items():
             if row is not None:
                 yield key, row
 
     def visible_rows(self, snapshot_csn: int
                      ) -> Iterator[Tuple[Hashable, Row]]:
         """Iterate over rows visible at ``snapshot_csn``."""
-        for key, chain in self.chains.items():
-            row = chain.read(snapshot_csn)
+        heads = self._heads
+        for key, csn in self._head_csns.items():
+            row = (heads[key] if snapshot_csn >= csn
+                   else self.read(key, snapshot_csn))
             if row is not None:
                 yield key, row
 
     def latest_row_map(self) -> Dict[Hashable, Row]:
         """``{key: latest committed row}``, tombstones left out."""
-        return {key: row for key, chain in self.chains.items()
-                if chain.rows and (row := chain.rows[-1]) is not None}
+        return {key: row for key, row in self._heads.items()
+                if row is not None}
 
     def live_row_count(self) -> int:
         """Number of non-deleted rows in the latest committed state."""
@@ -182,6 +191,12 @@ class TenantDatabase:
     def has_table(self, name: str) -> bool:
         """Whether the tenant defines table ``name``."""
         return name in self.tables
+
+    def install_many(self, csn: int,
+                     rows: Mapping[str, Mapping[Hashable, Row]]) -> None:
+        """Bulk-load ``{table: {key: row}}`` copies at ``csn``."""
+        for table_name, table_rows in rows.items():
+            self.table(table_name).install_many(csn, table_rows)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -195,9 +195,7 @@ def restore(instance: DbmsInstance, snapshot: LogicalSnapshot,
     if instance.crashed:
         raise NodeCrashed(instance.name, "crashed during restore")
     # Bulk-install the snapshot rows at a fresh CSN on the destination.
-    csn = instance.next_csn()
-    for table_name, table_rows in snapshot.rows.items():
-        tenant.table(table_name).install_many(csn, table_rows)
+    tenant.install_many(instance.next_csn(), snapshot.rows)
     # Recreate secondary indexes (their build time is inside ``duration``).
     for spec in snapshot.schemas:
         table = tenant.table(spec.name)
@@ -283,15 +281,21 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
                          % (start_index, total))
     # Capture the row set at the snapshot CSN up front: under MVCC the
     # same versions stay visible for the whole dump transaction, so
-    # slicing the capture across chunk emissions changes nothing.
+    # slicing the capture across chunk emissions changes nothing.  It
+    # is a flat key list beside a flat row list, one span per table, so
+    # the collector sees no per-row container.
     schemas: List[SchemaSpec] = []
-    flat: List[Tuple[str, Hashable, Dict[str, Any]]] = []
+    keys: List[Hashable] = []
+    images: List[Dict[str, Any]] = []
+    spans: List[Tuple[str, int, int]] = []
     for table_name in tenant.catalog.table_names():
         table = tenant.table(table_name)
         schemas.append(SchemaSpec(table_name, table.schema.columns,
                                   dict(table.schema.indexes)))
-        for key, row in table.visible_rows(snapshot_csn):
-            flat.append((table_name, key, dict(row)))
+        visible = dict(table.visible_rows(snapshot_csn))
+        spans.append((table_name, len(keys), len(keys) + len(visible)))
+        keys.extend(visible)
+        images.extend(map(dict, visible.values()))
     read_bw = instance.disk.spec.read_bandwidth_mb_s
     for index in range(start_index, total):
         if instance.crashed:
@@ -302,11 +306,12 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
             pace = chunk_size / rates.dump_mb_s - chunk_size / read_bw
             if pace > 0:
                 yield instance.env.timeout(pace)
-        lo = index * len(flat) // total
-        hi = (index + 1) * len(flat) // total
-        rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
-        for table_name, key, row in flat[lo:hi]:
-            rows.setdefault(table_name, {})[key] = row
+        lo = index * len(keys) // total
+        hi = (index + 1) * len(keys) // total
+        rows = {table_name: dict(zip(keys[max(lo, start):min(hi, end)],
+                                     images[max(lo, start):min(hi, end)]))
+                for table_name, start, end in spans
+                if max(lo, start) < min(hi, end)}
         chunk = SnapshotChunk(
             tenant_name, snapshot_csn, index, total, chunk_size, size_mb,
             rows, schemas if index == 0 else [],
@@ -386,9 +391,7 @@ def restore_stream(instance: DbmsInstance, source: Any,
                 yield instance.env.timeout(pace)
         if instance.crashed:
             raise NodeCrashed(instance.name, "crashed during restore")
-        csn = instance.next_csn()
-        for table_name, table_rows in chunk.rows.items():
-            tenant.table(table_name).install_many(csn, table_rows)
+        tenant.install_many(instance.next_csn(), chunk.rows)
         received = max(received, chunk.index + 1)
         if on_chunk is not None:
             on_chunk(chunk)
@@ -417,46 +420,49 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
                      cursor: WatermarkCursor, max_rows: int,
                      mb_per_row: float, rates: TransferRates
                      ) -> Generator[Any, Any,
-                                    Tuple[List[Tuple[str, Hashable,
-                                                     Dict[str, Any]]],
+                                    Tuple[Dict[str, Dict[Hashable,
+                                                         Dict[str, Any]]],
                                           WatermarkCursor]]:
     """One chunked watermark select over the *live* table state.
 
     Unlike :func:`dump` / :func:`dump_stream` there is no frozen
     snapshot CSN: the select reads the latest committed rows strictly
     after ``cursor`` in ``(table, key)`` order, up to ``max_rows`` of
-    them, capturing the row images synchronously (one MVCC read per
-    chain head) and then pacing the I/O against the source disk at the
+    them, capturing the row images synchronously (one head read per
+    key) and then pacing the I/O against the source disk at the
     dump rate — so chunk selects contend with foreground commits and
     the WAL exactly like a dump slice does.  Returns ``(rows,
-    next_cursor)`` where ``rows`` is a list of ``(table, key,
-    row_copy)`` and ``next_cursor`` is ``None`` once the key walk is
+    next_cursor)`` where ``rows`` is ``{table: {key: row_copy}}`` in
+    walk order and ``next_cursor`` is ``None`` once the key walk is
     exhausted.  Correctness under concurrent writes comes from the
     low/high watermark bracket the caller places around this select,
     not from MVCC snapshots.
     """
     tenant = instance.tenant(tenant_name)
-    rows: List[Tuple[str, Hashable, Dict[str, Any]]] = []
+    rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
+    taken = 0
     next_cursor: WatermarkCursor = None
     for table_name in sorted(tenant.catalog.table_names()):
         if cursor is not None and table_name < cursor[0]:
             continue
-        chains = tenant.table(table_name).chains
-        live: Iterable[Hashable] = (key for key, chain in chains.items()
-                                    if chain.latest() is not None)
+        table = tenant.table(table_name)
+        live: Iterable[Hashable] = (key for key, _row
+                                    in table.latest_rows())
         if cursor is not None and table_name == cursor[0]:
             after = cursor[1]
             live = (key for key in live if key > after)
         # Only the next keys of the walk are ordered, never the table.
-        keys = heapq.nsmallest(max_rows - len(rows), live)
-        rows.extend((table_name, key, dict(chains[key].latest()))
-                    for key in keys)
-        if len(rows) >= max_rows:
+        keys = heapq.nsmallest(max_rows - taken, live)
+        if keys:
+            rows[table_name] = {key: dict(table.latest(key))
+                                for key in keys}
+            taken += len(keys)
+        if taken >= max_rows:
             next_cursor = (table_name, keys[-1])
             break
     if instance.crashed:
         raise NodeCrashed(instance.name, "crashed during chunk select")
-    chunk_mb = mb_per_row * len(rows)
+    chunk_mb = mb_per_row * taken
     if chunk_mb > 0:
         yield from instance.disk.read(chunk_mb)
         read_bw = instance.disk.spec.read_bandwidth_mb_s
@@ -464,14 +470,3 @@ def watermark_select(instance: DbmsInstance, tenant_name: str,
         if pace > 0:
             yield instance.env.timeout(pace)
     return rows, next_cursor
-
-
-def install_watermark_rows(tenant: Any, csn: int,
-                           rows: List[Tuple[str, Hashable, Dict[str, Any]]]
-                           ) -> None:
-    """Bulk-load ``(table, key, row)`` chunk rows at ``csn``."""
-    by_table: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
-    for table_name, key, row in rows:
-        by_table.setdefault(table_name, {})[key] = row
-    for table_name, table_rows in by_table.items():
-        tenant.table(table_name).install_many(csn, table_rows)

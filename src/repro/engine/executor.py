@@ -173,7 +173,7 @@ class Executor:
                 if keys is not None:
                     break
         if keys is None:
-            keys = list(table.chains.keys())
+            keys = list(table.keys())
         if txn is not None:
             table_name = schema.name
             for (name, key) in txn.write_order:
@@ -188,10 +188,7 @@ class Executor:
             written, value = txn.own_write((table.schema.name, key))
             if written:
                 return value
-        chain = table.chain(key)
-        if chain is None:
-            return None
-        return chain.read(snapshot_csn)
+        return table.read(key, snapshot_csn)
 
     # ------------------------------------------------------------------
     # SELECT
@@ -208,10 +205,8 @@ class Executor:
                 continue
             rows.append(row)
             if self.read_hook is not None and txn is not None:
-                chain = table.chain(key)
-                version = chain.latest_csn() if chain is not None else 0
                 self.read_hook(txn.txn_id, statement.table, key,
-                               min(version, snapshot))
+                               min(table.latest_csn(key), snapshot))
         if statement.order_by is not None:
             table.schema.require_column(statement.order_by)
             rows.sort(key=lambda r: (r.get(statement.order_by) is None,
@@ -243,8 +238,7 @@ class Executor:
         lock holder commits first.
         """
         snapshot = self._ensure_snapshot(txn)
-        chain = table.chain(key)
-        if chain is not None and chain.latest_csn() > snapshot:
+        if table.latest_csn(key) > snapshot:
             self.database.locks.immediate_aborts += 1
             raise TransactionAborted(
                 "first-updater-wins: item already updated by a newer commit")
@@ -253,8 +247,7 @@ class Executor:
         yield grant  # may raise TransactionAborted via event failure
         # Re-check after a wait: the previous holder must have aborted, so
         # the newest committed version is unchanged, but be defensive.
-        chain = table.chain(key)
-        if chain is not None and chain.latest_csn() > snapshot:
+        if table.latest_csn(key) > snapshot:
             self.database.locks.immediate_aborts += 1
             raise TransactionAborted(
                 "first-updater-wins: newer version appeared while waiting")

@@ -1,13 +1,15 @@
 """Multi-version storage: version chains with snapshot visibility.
 
-Each (table, primary key) slot holds a :class:`VersionChain` of committed
-versions tagged with the commit sequence number (CSN) that installed them.
-A transaction reading at snapshot ``s`` sees the newest version whose CSN
-is ``<= s`` — exactly the SI read rule of Section 1 of the paper: the
-transaction "detects all the changes made by other transactions committed
-before [it] starts" and nothing committed later.
+Every committed version is tagged with the commit sequence number (CSN)
+that installed it.  A table keeps each key's newest version as its head
+and the superseded ones in a :class:`VersionChain`
+(:class:`~repro.engine.database.Table`).  A transaction reading at
+snapshot ``s`` sees the newest version whose CSN is ``<= s`` — exactly
+the SI read rule of Section 1 of the paper: the transaction "detects all
+the changes made by other transactions committed before [it] starts" and
+nothing committed later.
 
-Uncommitted writes never enter a chain; they live in the writing
+Uncommitted writes never enter the heap; they live in the writing
 transaction's private write set until commit installs them atomically.
 """
 

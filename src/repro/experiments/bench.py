@@ -581,7 +581,7 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
     lost = phantom = 0
     for key, increments in sorted(
             workload.committed_increments.items()):
-        got = table.chain(key).latest()["v"]
+        got = table.latest(key)["v"]
         if got < increments:
             lost += increments - got
         elif got > increments:

@@ -346,7 +346,7 @@ def run_rebalance(profile: Optional[Profile] = None, *,
         table = cluster.node(owner).instance.tenant(tenant).table("kv")
         for key, increments in sorted(
                 workload.committed_increments.items()):
-            got = table.chain(key).latest()["v"]
+            got = table.latest(key)["v"]
             if got != increments:
                 outcome.value_mismatches += 1
                 if got < increments:

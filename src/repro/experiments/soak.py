@@ -487,7 +487,7 @@ def run_soak(profile: Optional[Profile] = None, *,
         table = cluster.node(owner).instance.tenant(tenant).table("kv")
         for key, increments in sorted(
                 workload.committed_increments.items()):
-            got = table.chain(key).latest()["v"]
+            got = table.latest(key)["v"]
             if got < increments:
                 # An acknowledged increment is missing: a real loss.
                 outcome.value_mismatches += 1

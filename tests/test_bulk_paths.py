@@ -7,12 +7,13 @@ algorithm it replaced:
   (every live row rendered as sorted items, keys walked by ``repr``);
 * ``watermark_select`` against a select that copies each table and
   sorts every key on every chunk;
-* ``Table.live_row_count`` against a full recount of the chains, after
+* ``Table.live_row_count`` against a full recount of the heap, after
   row-at-a-time installs, ``Table.install_many``, restores, a resumed
   chunk stream, and watermark chunk installs on a destination and its
   standby.
 
-A migration's handover check still compares the destination and every
+A bulk load adds no per-row object to the cyclic collector's heap, and a
+migration's handover check still compares the destination and every
 standby with the source and names an injected one-row divergence.
 """
 
@@ -49,8 +50,7 @@ def _schema(name: str, indexed: bool = False) -> TableSchema:
 
 
 def _recount(table: Table) -> int:
-    return sum(1 for chain in table.chains.values()
-               if chain.latest() is not None)
+    return sum(1 for key in table.keys() if table.latest(key) is not None)
 
 
 def _assert_counts(tenant: TenantDatabase) -> None:
@@ -180,7 +180,8 @@ class TestStatesEqualCases:
 
 def reference_select(tenant: TenantDatabase, cursor, max_rows: int):
     """Copy each table, sort all its keys, take those after the cursor."""
-    rows = []
+    rows: Dict[str, Dict[int, Any]] = {}
+    taken = 0
     next_cursor = None
     for table_name in sorted(tenant.catalog.table_names()):
         if cursor is not None and table_name < cursor[0]:
@@ -190,8 +191,9 @@ def reference_select(tenant: TenantDatabase, cursor, max_rows: int):
             if (cursor is not None and table_name == cursor[0]
                     and not key > cursor[1]):
                 continue
-            rows.append((table_name, key, dict(latest[key])))
-            if len(rows) >= max_rows:
+            rows.setdefault(table_name, {})[key] = dict(latest[key])
+            taken += 1
+            if taken >= max_rows:
                 next_cursor = (table_name, key)
                 break
         if next_cursor is not None:
@@ -231,6 +233,11 @@ def test_watermark_select_matches_the_sorting_reference(tables, max_rows,
                                           0.001, RATES))
         assert got == expected
         rows, cursor = got
+        # Walk order too: tables ascending, keys ascending in each.
+        assert ([(name, list(table_rows)) for name, table_rows
+                 in rows.items()]
+                == [(name, sorted(table_rows)) for name, table_rows
+                    in sorted(expected[0].items())])
         if cursor is None:
             break
         for table_name, key, value in (between[walked]
@@ -252,22 +259,21 @@ def test_watermark_select_ends_with_an_empty_chunk_on_an_exact_fit(env):
                                    {"k": key, "v": 0})
     rows, cursor = drive(env, watermark_select(instance, "T", None, 4,
                                                0.001, RATES))
-    assert [key for _table, key, _row in rows] == [0, 1, 2, 3]
+    assert list(rows) == ["t1"]
+    assert list(rows["t1"]) == [0, 1, 2, 3]
     assert cursor == ("t1", 3)
     assert drive(env, watermark_select(instance, "T", cursor, 4, 0.001,
-                                       RATES)) == ([], None)
+                                       RATES)) == ({}, None)
 
 
 # ---------------------------------------------------------------------------
 # live-row counter and the bulk row-load path
 # ---------------------------------------------------------------------------
 
-#: ``("install", key, value|None)`` or ``("prune", key, horizon)``.
-table_ops = st.lists(st.one_of(
-    st.tuples(st.just("install"), st.integers(0, 15),
-              st.one_of(st.none(), st.integers(0, 5))),
-    st.tuples(st.just("prune"), st.integers(0, 15), st.integers(0, 60)),
-), max_size=60)
+#: ``(key, value)`` installs; a ``None`` value is a tombstone.
+table_ops = st.lists(st.tuples(st.integers(0, 15),
+                               st.one_of(st.none(), st.integers(0, 5))),
+                     max_size=60)
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,20 +283,17 @@ table_ops = st.lists(st.one_of(
 def test_live_row_count_matches_a_recount(ops, bulk, indexed):
     table = Table(_schema("t1", indexed=indexed))
     csn = 0
-    for op, key, arg in ops:
-        if op == "install":
-            csn += 1
-            table.install(key, csn, None if arg is None
-                          else {"k": key, "v": arg})
-        elif table.chain(key) is not None:
-            table.chain(key).prune(arg)
+    for key, value in ops:
+        csn += 1
+        table.install(key, csn, None if value is None
+                      else {"k": key, "v": value})
         assert table.live_row_count() == _recount(table)
     # The bulk path over a mix of fresh keys and existing chains.
     table.install_many(csn + 1, {key: {"k": key, "v": value}
                                  for key, value in bulk.items()})
     assert table.live_row_count() == _recount(table)
     for key, value in bulk.items():
-        assert table.chain(key).latest() == {"k": key, "v": value}
+        assert table.latest(key) == {"k": key, "v": value}
     if indexed:
         rebuilt = Table(_schema("t1"))
         rebuilt.install_many(csn + 1, table.latest_row_map())
@@ -314,39 +317,7 @@ class TestInstallMany:
         table = Table(_schema("t1"))
         table.install_many(1, rows)
         rows[1]["v"] = 9
-        assert table.chain(1).latest() == {"k": 1, "v": 0}
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_only_a_large_load_pauses_the_collector(self, enabled):
-        was = gc.isenabled()
-        young = gc.get_threshold()[0]
-        try:
-            (gc.enable if enabled else gc.disable)()
-            table = Table(_schema("t1"))
-            small = _Probe({0: {"k": 0, "v": 0}})
-            table.install_many(1, small)
-            assert small.collector_on is enabled
-            large = _Probe({key: {"k": key, "v": 0}
-                            for key in range(1, 1 + young)})
-            table.install_many(2, large)
-            assert large.collector_on is False
-            assert gc.isenabled() is enabled
-            with pytest.raises(ValueError):
-                table.install_many(2, large)
-            assert gc.isenabled() is enabled
-            assert table.live_row_count() == _recount(table) == 1 + young
-        finally:
-            (gc.enable if was else gc.disable)()
-
-
-class _Probe(dict):
-    """Rows that note whether the collector was on while being loaded."""
-
-    collector_on = None
-
-    def items(self):
-        self.collector_on = gc.isenabled()
-        return super().items()
+        assert table.latest(1) == {"k": 1, "v": 0}
 
 
 def _populated(env, rows: int = 40, size_mb: float = 16.0) -> DbmsInstance:
@@ -508,3 +479,89 @@ def test_handover_reports_an_injected_one_row_divergence(env, strategy):
         "table 'kv' key 5: master=(('k', 5), ('tag', 'key5'), ('v', 0)) "
         "slave=(('k', 5), ('tag', 'key5'), ('v', 7))"]
     assert report.standby_consistency == {"node2": False}
+
+
+# ---------------------------------------------------------------------------
+# the collector's view of a bulk load
+# ---------------------------------------------------------------------------
+
+#: Tracked objects a load may leave behind beyond its fixed chunk plan's
+#: bookkeeping; per-row containers would add thousands between the sizes.
+GC_SLACK = 64
+
+
+def _kv_source(instance: DbmsInstance, tenant_name: str, rows: int) -> None:
+    """``rows`` fresh rows on one unindexed table, at a fixed 4 MB."""
+    tenant = instance.create_tenant(tenant_name)
+    tenant.create_table(_schema("kv"))
+    tenant.size_multiplier = 0.0
+    tenant.fixed_overhead_mb = 4.0
+    tenant.table("kv").install_many(instance.next_csn(), {
+        key: {"k": key, "v": key} for key in range(rows)})
+
+
+def _restore(rows: int):
+    env = Environment()
+    source = DbmsInstance(env, "src")
+    _kv_source(source, "T", rows)
+
+    def load():
+        destination = DbmsInstance(env, "dst")
+        snapshot = drive(env, dump(source, "T", source.current_csn(),
+                                   RATES))
+        drive(env, restore(destination, snapshot, RATES))
+        return [destination]
+    return load
+
+
+def _restore_stream(rows: int):
+    env = Environment()
+    source = DbmsInstance(env, "src")
+    _kv_source(source, "T", rows)
+
+    def load():
+        destination = DbmsInstance(env, "dst")
+        sink = _ListSink(env)
+        drive(env, dump_stream(source, "T", source.current_csn(), RATES,
+                               sink, chunk_mb=1.0))
+        drive(env, restore_stream(destination, _feed(env, sink.chunks),
+                                  RATES))
+        return [destination]
+    return load
+
+
+def _watermark(rows: int):
+    env = Environment()
+    cluster, middleware = build(env, nodes=3)
+    _kv_source(cluster.node("node0").instance, "A", rows)
+    middleware.register_tenant("A", "node0")
+
+    def load():
+        report = drive(env, middleware.migrate("A", "node1", MigrationOptions(
+            rates=RATES, chunk_mb=1.0, strategy=SnapshotStrategy.WATERMARK,
+            standbys=("node2",))))
+        assert report.outcome == "ok" and report.consistent is True
+        assert report.standby_consistency == {"node2": True}
+        return [report]
+    return load
+
+
+def _tracked_growth(setup, rows: int) -> int:
+    """Tracked objects a load adds, once the collector has run."""
+    load = setup(rows)
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = load()
+    gc.collect()
+    growth = len(gc.get_objects()) - before
+    del kept
+    return growth
+
+
+@pytest.mark.parametrize("setup", [_restore, _restore_stream, _watermark],
+                         ids=["restore", "restore_stream", "watermark"])
+def test_a_bulk_load_adds_no_tracked_object_per_row(setup):
+    _tracked_growth(setup, 1000)  # warm-up: lazy imports and caches
+    small = _tracked_growth(setup, 1000)
+    large = _tracked_growth(setup, 4000)
+    assert abs(large - small) <= GC_SLACK, (small, large)

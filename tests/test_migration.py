@@ -11,7 +11,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import (ALL_POLICIES, B_ALL, B_CON, B_MIN, MADEUS,
                         Middleware, MiddlewareConfig,
-                        MigrationOptions)
+                        MigrationOptions, SnapshotStrategy)
 from repro.engine.dump import TransferRates
 from repro.errors import CatchUpTimeout, MigrationError, RoutingError
 from repro.sim import Environment, StreamFactory
@@ -170,6 +170,39 @@ class TestMigrationReports:
         report, _w, _c, _m = run_migration(env, MADEUS, read_ratio=0.0)
         assert report.syncsets_propagated > 0
         assert report.operations_propagated >= report.syncsets_propagated
+
+
+@pytest.mark.parametrize("strategy", list(SnapshotStrategy))
+def test_return_migration_replaces_the_kept_source_copy(env, strategy):
+    """node0 -> node1 -> node0 with the first source copy kept.
+
+    A row deleted while the tenant lives on node1 must stay deleted once
+    it is back: the return migration restores over a fresh copy, never
+    over the stale one node0 kept.
+    """
+    cluster, middleware = build(env, MADEUS)
+    assert middleware.config.drop_source_copy is False
+    options = MigrationOptions(rates=RATES, strategy=strategy)
+
+    def bounce(env):
+        yield from setup_kv_tenant(cluster.node("node0").instance, "A", 8)
+        middleware.register_tenant("A", "node0")
+        away = yield from middleware.migrate("A", "node1", options)
+        conn = middleware.connect("A")
+        for sql in ("BEGIN", "DELETE FROM kv WHERE k = 3", "COMMIT"):
+            result = yield from middleware.submit(conn, sql)
+            assert result.ok, result.error
+        middleware.disconnect(conn)
+        back = yield from middleware.migrate("A", "node0", options)
+        return away, back
+
+    for report in drive(env, bounce(env)):
+        assert report.outcome == "ok"
+        assert report.consistent is True, report.inconsistencies
+    assert middleware.owners("A") == ["node0"]
+    table = cluster.node("node0").instance.tenant("A").table("kv")
+    assert table.latest(3) is None
+    assert table.live_row_count() == 7
 
 
 class TestMigrationErrors:
