@@ -12,9 +12,10 @@ The surface, by layer:
 
 * :class:`Middleware` / :class:`MiddlewareConfig` — the proxy itself;
 * :class:`MigrationOptions` — per-migration knobs for
-  :meth:`Middleware.migrate` (rates, standbys, the snapshot
+  :meth:`Middleware.migrate`: rates, standbys, the snapshot
   ``strategy``, and the shared retry/resume knobs ``retry_limit`` /
-  ``retry_base`` / ``retry_cap`` / ``resume``);
+  ``retry_base`` / ``retry_cap`` / ``resume`` (retired spellings such
+  as ``pipeline`` are unknown keywords to the constructor);
 * :class:`SnapshotStrategy` — how the initial copy is produced
   (``SERIAL`` / ``PIPELINED`` / ``WATERMARK``), the same ``strategy``
   knob on all three options classes;

@@ -20,48 +20,36 @@ from typing import (
     Dict,
     Generator,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
 )
 
 from ..cluster.cluster import Cluster
-from ..engine.dump import (
-    SchemaSpec,
-    SnapshotTruncated,
-    TransferRates,
-    create_from_schemas,
-    dump,
-    dump_stream,
-    finalize_indexes,
-    plan_chunks,
-    restore,
-    restore_duration,
-    restore_stream,
-    watermark_select,
-)
+from ..engine.dump import SchemaSpec, TransferRates, plan_chunks, schema_specs
 from ..engine.session import Session, SessionResult
 from ..engine.sqlmini import parse
 from ..errors import (
     CatchUpTimeout,
     MigrationError,
     NetworkDown,
-    NodeCrashed,
     RoutingError,
     SourceCrashed,
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import MIGRATION, Tracer
-from ..sim.events import Event, Interrupt
-from ..sim.sync import Channel, Gate
+from ..sim.events import Event
+from ..sim.sync import Gate
+from . import snapshot
 from .operations import Operation, OpKind, TxnTracker
-from .pipeline import ChangeTap, ChunkFeed
+from .pipeline import ChangeTap
 from .policy import MADEUS, PropagationPolicy
 from .propagation import make_propagator
-from .watermark import ChangeStreamApplier, SnapshotStrategy
 from .region import COMMIT_CLASS, FIRST_READ_CLASS, CriticalRegion
 from .ssb import SyncsetBuffer, SyncsetList
 from .theory import LsirValidator, states_equal
+from .watermark import SnapshotStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Environment
@@ -116,19 +104,6 @@ class MiddlewareConfig:
     resumable: bool = False
 
 
-#: Retired :class:`MigrationOptions` field spellings and the unified
-#: knob each maps to (shared with :class:`~repro.core.scheduler.
-#: ScheduleOptions` and ``RebalanceOptions``).  Their one-release
-#: DeprecationWarning shim cycle (README "Public API" policy) has
-#: passed; constructing with any of them raises :class:`TypeError`.
-_RETIRED_OPTION_FIELDS = (
-    ("ship_retry_limit", "retry_limit"),
-    ("ship_retry_base", "retry_base"),
-    ("ship_retry_cap", "retry_cap"),
-    ("resumable", "resume"),
-)
-
-
 @dataclass(frozen=True)
 class MigrationOptions:
     """Per-migration knobs for :meth:`Middleware.migrate`.
@@ -158,10 +133,6 @@ class MigrationOptions:
     #: value): ``SERIAL``, ``PIPELINED``, or ``WATERMARK``.  ``None``
     #: inherits :attr:`MiddlewareConfig.pipeline_snapshot`.
     strategy: Optional[SnapshotStrategy] = None
-    #: Retired boolean spelling of :attr:`strategy`; its one-release
-    #: DeprecationWarning shim cycle has passed, so any non-``None``
-    #: value raises :class:`TypeError` naming ``SnapshotStrategy``.
-    pipeline: Optional[bool] = None
     #: Bounded-buffer depth of the pipelined path (None -> config).
     pipeline_depth: Optional[int] = None
     #: Chunk size for the streamed dump (None -> ``rates.chunk_mb``).
@@ -177,28 +148,10 @@ class MigrationOptions:
     divergence_min_growth: Optional[int] = None
     #: Journal progress for restart-and-resume (None -> config).
     resume: Optional[bool] = None
-    # -- retired spellings (shim cycle over; TypeError on use) ---------
-    ship_retry_limit: Optional[int] = None
-    ship_retry_base: Optional[float] = None
-    ship_retry_cap: Optional[float] = None
-    resumable: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        for old, new in _RETIRED_OPTION_FIELDS:
-            if getattr(self, old) is not None:
-                raise TypeError(
-                    "MigrationOptions(%s=...) was removed after its "
-                    "deprecation cycle; use the unified knob name %r "
-                    "(shared with ScheduleOptions and RebalanceOptions)"
-                    % (old, new))
         object.__setattr__(self, "strategy",
                            SnapshotStrategy.coerce(self.strategy))
-        if self.pipeline is not None:
-            raise TypeError(
-                "MigrationOptions(pipeline=...) was removed after its "
-                "deprecation cycle; use strategy=SnapshotStrategy.%s "
-                "instead"
-                % ("PIPELINED" if self.pipeline else "SERIAL"))
 
     def resolve(self, config: MiddlewareConfig) -> "MigrationOptions":
         """Fill every ``None`` from ``config`` / library defaults."""
@@ -420,7 +373,6 @@ class MigrationJournal:
     #: crash-and-recovery, so the frozen slices stay byte-identical.
     size_mb: float
     total_chunks: int
-    pipelined: bool
     #: Snapshot strategy of the journalled attempt; a resume re-enters
     #: with the same strategy regardless of the options it was given.
     strategy: str = "pipelined"
@@ -458,6 +410,31 @@ class MigrationJournal:
     #: The manager process of the current attempt (None when parked).
     manager: Any = None
 
+    def record_chunk(self, node_name: str, index: int) -> None:
+        """Journal the durable install of chunk ``index`` on a node."""
+        self.chunks_restored[node_name] = max(
+            self.chunks_restored.get(node_name, 0), index + 1)
+        self.chunk_log.setdefault(node_name, []).append(index)
+
+    def forget_chunks(self, node_name: str) -> None:
+        """The node's copy is gone: nothing of it counts as installed."""
+        self.chunks_restored[node_name] = 0
+        self.chunk_log.pop(node_name, None)
+
+    def close(self, completed: bool) -> None:
+        """Retire the journal: the migration completed or was given up."""
+        self.state = JOURNAL_COMPLETED if completed else JOURNAL_ABANDONED
+        if completed:
+            self.phase = "done"
+        self.manager = None
+
+    def stop_snapshot(self, cause: str) -> None:
+        """Interrupt the attempt's live dump/ship/restore processes."""
+        for proc in self.snapshot_procs:
+            if proc.is_alive:
+                proc.interrupt(cause)
+        self.snapshot_procs = []
+
 
 @dataclass
 class _MigrationRun:
@@ -485,6 +462,11 @@ class _MigrationRun:
     resume: bool = False
     #: Per-slave WAL baselines captured at catch-up start.
     wal_before: Dict[str, Any] = field(default_factory=dict)
+
+    def targets(self) -> List[Tuple[str, Any]]:
+        """``(node, instance)`` of the destination, then each standby."""
+        return [(self.destination, self.dest_instance),
+                *self.standby_instances.items()]
 
 
 class Connection:
@@ -640,30 +622,11 @@ class Middleware:
             # Recovery forfeits the resume: a rolled-forward handover
             # completes the journal, anything else abandons it.  Orphan
             # dump/restore streams are silenced either way.
-            if self.route(tenant) == journal.destination:
-                journal.state = JOURNAL_COMPLETED
-                journal.phase = "done"
-            else:
-                journal.state = JOURNAL_ABANDONED
-            journal.manager = None
-            for proc in journal.snapshot_procs:
-                if proc.is_alive:
-                    proc.interrupt("routing recovered")
-            journal.snapshot_procs = []
-        if state.migrating or state.propagator is not None:
-            state.migrating = False
-            if state.propagator is not None:
-                state.propagator.request_stop()
-                state.propagator = None
-            state.ssl.take_all()
-            for name in sorted(state.standby_propagators):
-                self._drop_standby(state, name, phase="recovery",
-                                   reason="handover recovery")
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
-        if not state.gate.is_open:
-            state.gate.open()
+            journal.close(completed=self.route(tenant) == journal.destination)
+            journal.stop_snapshot("routing recovered")
+        self._tear_down_migration(state, phase="recovery",
+                                  reason="handover recovery")
+        state.gate.open()
         return self.owners(tenant)[0]
 
     def migration_journal(self, tenant: str) -> Optional[MigrationJournal]:
@@ -963,7 +926,7 @@ class Middleware:
                 "the old rates/standbys call shapes were removed"
                 % (type(options).__name__,))
         opts = (options or MigrationOptions()).resolve(self.config)
-        rates = opts.rates
+        path = snapshot.path_for(opts.strategy)
         standbys = list(opts.standbys)
         state = self.tenant_state(tenant)
         if state.migrating:
@@ -990,33 +953,28 @@ class Middleware:
         # would notice — the middleware buffers the syncsets, so replay
         # could quietly finish against a dead master.
         source_down = source_instance.wait_crashed()
-        overlapped = opts.strategy is not SnapshotStrategy.SERIAL
         report = MigrationReport(tenant, source, destination,
                                  self.config.policy.name,
                                  started_at=self.env.now,
-                                 pipelined=(opts.strategy
-                                            is SnapshotStrategy.PIPELINED),
+                                 pipelined=path.pipelined,
                                  strategy=opts.strategy.value)
         migration_span = self.tracer.start(
             "migration", kind=MIGRATION, tenant=tenant, source=source,
             destination=destination, policy=self.config.policy.name,
-            standbys=len(standbys), pipelined=overlapped,
+            standbys=len(standbys), pipelined=path.overlapped,
             strategy=opts.strategy.value)
         # --- Step 1: snapshot at a commit boundary --------------------
         phase_span = self.tracer.phase("dump", parent=migration_span,
-                                       pipelined=overlapped,
+                                       pipelined=path.overlapped,
                                        strategy=opts.strategy.value)
         yield from state.region.enter(FIRST_READ_CLASS)
         report.mts = state.mlc
         snapshot_csn = source_instance.current_csn()
         state.migrating = True  # commits from here on link their SSBs
-        if opts.strategy is SnapshotStrategy.WATERMARK:
-            # From the very next commit every row post-image flows into
-            # the change tap instead of the SSL — created inside the
-            # critical region so no commit slips between the two.
-            state.change_tap = ChangeTap(self.env, name=tenant)
+        # A watermark migration's change tap is opened inside the
+        # critical region so no commit slips between it and the SSL.
+        state.change_tap = path.open_tap(self.env, tenant)
         state.region.leave()
-        del rates  # phases read opts.rates
         run = _MigrationRun(
             tenant=tenant, state=state, opts=opts, report=report,
             migration_span=migration_span,
@@ -1031,23 +989,15 @@ class Middleware:
 
     def _open_journal(self, run: _MigrationRun) -> MigrationJournal:
         """Journal a fresh migration's immutable facts and chunk plan."""
-        opts = run.opts
         tenant_db = run.source_instance.tenant(run.tenant)
         size_mb = tenant_db.size_mb()
-        chunk_cap = (opts.chunk_mb if opts.chunk_mb is not None
-                     else opts.rates.chunk_mb)
-        specs = []
-        for table_name in tenant_db.catalog.table_names():
-            table = tenant_db.table(table_name)
-            specs.append(SchemaSpec(table_name, table.schema.columns,
-                                    dict(table.schema.indexes)))
         journal = MigrationJournal(
             tenant=run.tenant, source=run.report.source,
             destination=run.destination, mts=run.report.mts,
             snapshot_csn=run.snapshot_csn, size_mb=size_mb,
-            total_chunks=plan_chunks(size_mb, chunk_cap),
-            pipelined=(opts.strategy is SnapshotStrategy.PIPELINED),
-            strategy=opts.strategy.value, schemas=specs)
+            total_chunks=plan_chunks(size_mb, snapshot.chunk_cap(run.opts)),
+            strategy=run.opts.strategy.value,
+            schemas=schema_specs(tenant_db))
         journal.manager = self.env.active_process
         self._journals[run.tenant] = journal
         return journal
@@ -1064,110 +1014,15 @@ class Middleware:
         ``report.restored_at`` is stamped; a source crash raises
         :class:`SourceCrashed` (suspending first when journalled).
         """
-        state, opts, report = run.state, run.opts, run.report
-        tenant = run.tenant
-        rates = opts.rates
-        restore_errors: Dict[str, Optional[str]] = {}
-
-        def retry_backoff(node_name: str, attempt: int) -> Generator:
-            delay = min(opts.retry_cap,
-                        opts.retry_base * (2 ** (attempt - 1)))
-            report.ship_retries += 1
-            self.metrics.counter("migration.retries").inc()
-            self.tracer.event("migration.retry", tenant=tenant,
-                              node=node_name, attempt=attempt,
-                              delay=delay)
-            yield self.env.timeout(delay)
-
-        if opts.strategy is SnapshotStrategy.WATERMARK:
-            phase_span = yield from self._watermark_snapshot(
-                run, phase_span, restore_errors, retry_backoff)
-        elif (opts.strategy is SnapshotStrategy.PIPELINED
-                or run.resume):
-            dump_error, phase_span = yield from self._pipelined_snapshot(
-                run, phase_span, restore_errors, retry_backoff)
-            if isinstance(dump_error, NodeCrashed):
-                # The *source* died mid-dump: nothing useful restored
-                # anywhere; abort and keep source ownership.
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, phase_span,
-                                         phase="dump")
-        else:
-            try:
-                snapshot = yield from dump(run.source_instance, tenant,
-                                           run.snapshot_csn, rates)
-            except NodeCrashed:
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, phase_span,
-                                         phase="dump")
-            report.snapshot_at = self.env.now
-            report.snapshot_size_mb = snapshot.size_mb
-            self.tracer.finish(phase_span, mts=report.mts,
-                               size_mb=snapshot.size_mb)
-            # --- Step 2: create the slave(s) ---------------------------
-            phase_span = self.tracer.phase("restore",
-                                           parent=run.migration_span,
-                                           size_mb=snapshot.size_mb)
-
-            def ship_and_restore(node_name: str,
-                                 instance: Any) -> Generator:
-                """Ship + restore one node; resend across outages.
-
-                Never raises: per-node outcomes land in
-                ``restore_errors`` so one dead node cannot fail the
-                whole fan-out (``all_of`` fails fast on a sub-event
-                failure).
-                """
-                attempt = 0
-                while True:
-                    try:
-                        yield from self.cluster.network.message(
-                            snapshot.size_mb)
-                        yield from restore(instance, snapshot, rates,
-                                           tenant_name=tenant)
-                        restore_errors[node_name] = None
-                        if run.journal is not None:
-                            # The serial restore lands whole: journal
-                            # the entire chunk plan as installed.
-                            run.journal.chunks_restored[node_name] = (
-                                run.journal.total_chunks)
-                        return
-                    except NetworkDown as exc:
-                        attempt += 1
-                        if instance.has_tenant(tenant):
-                            # Discard the partial copy before resending.
-                            instance.drop_tenant(tenant)
-                        if run.journal is not None:
-                            run.journal.chunks_restored[node_name] = 0
-                        if attempt > opts.retry_limit:
-                            restore_errors[node_name] = str(exc)
-                            return
-                        yield from retry_backoff(node_name, attempt)
-                    except NodeCrashed as exc:
-                        restore_errors[node_name] = str(exc)
-                        return
-                    except Interrupt:
-                        # Quiesced by a journalled re-entry.
-                        restore_errors[node_name] = "interrupted"
-                        return
-
-            restores = [self.env.process(
-                ship_and_restore(run.destination, run.dest_instance))]
-            restores += [self.env.process(ship_and_restore(name, instance))
-                         for name, instance
-                         in run.standby_instances.items()]
-            if run.journal is not None:
-                run.journal.snapshot_procs = list(restores)
-            yield self.env.all_of(restores)
+        state, report = run.state, run.report
+        restore_errors: snapshot.RestoreErrors = {}
+        phase_span = yield from snapshot.path_for(run.opts.strategy).copy(
+            self, run, phase_span, restore_errors)
         if run.source_instance.crashed:
             # The master died while the slaves restored (the serial path
             # restores from an already-materialised snapshot, so nothing
             # in the pipeline notices).  Whatever landed is abandoned.
-            self._abort_source_crash(state, run.dest_instance, tenant,
-                                     report, run.migration_span,
-                                     phase_span, phase="restore")
+            self._abort_source_crash(run, phase_span, phase="restore")
         # A standby that failed to restore is discarded (Section 4.2); a
         # dead destination promotes a restored standby or aborts.
         for name in sorted(run.standby_instances):
@@ -1178,24 +1033,14 @@ class Middleware:
                                    reason=error)
         dest_error = restore_errors.get(run.destination)
         if dest_error is not None:
-            survivors = sorted(run.standby_instances)
-            if not survivors:
-                self._abort_migration(state, run.dest_instance, tenant)
-                self.tracer.finish(phase_span, outcome="failed")
-                self.tracer.finish(run.migration_span, outcome="aborted",
-                                   reason="restore_failed",
-                                   owner=report.source)
-                self._finalize_abort(state, report)
+            if not run.standby_instances:
+                self._abort_migration(run, phase_span, "restore_failed",
+                                      outcome="failed")
                 raise MigrationError(
                     "restore on destination %s failed (%s) and no "
                     "standby survives to take over"
                     % (run.destination, dest_error))
-            run.destination, run.dest_instance = self._promote_standby(
-                state, run.standby_instances, report, tenant,
-                failed=run.destination, phase="restore",
-                reason=dest_error)
-            if run.journal is not None:
-                run.journal.destination = run.destination
+            self._promote_standby(run, phase="restore", reason=dest_error)
         if run.journal is not None:
             run.journal.snapshot_procs = []
         report.restored_at = self.env.now
@@ -1254,12 +1099,9 @@ class Middleware:
             standby_prop.start()
         # Per-slave WAL baselines, recorded up front so a standby
         # promoted mid-catch-up still reports correct deltas.
-        run.wal_before = {
-            run.destination: (run.dest_instance.wal.flush_count,
-                              run.dest_instance.wal.commit_count)}
-        for name, instance in run.standby_instances.items():
-            run.wal_before[name] = (instance.wal.flush_count,
-                                    instance.wal.commit_count)
+        run.wal_before = {name: (instance.wal.flush_count,
+                                 instance.wal.commit_count)
+                          for name, instance in run.targets()}
         if not adopted:
             propagator.start()
         deadline_event = None
@@ -1293,10 +1135,7 @@ class Middleware:
                 break
             if fired is run.source_down:
                 watchdog_control["stop"] = True
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, phase_span,
-                                         phase="catch-up")
+                self._abort_source_crash(run, phase_span, phase="catch-up")
             dropped = None
             for name, event in standby_failed.items():
                 if fired is event:
@@ -1312,13 +1151,8 @@ class Middleware:
             if fired is primary_failed:
                 reason = state.propagator.failed or "replay failed"
                 if run.standby_instances:
-                    run.destination, run.dest_instance = (
-                        self._promote_standby(
-                            state, run.standby_instances, report, tenant,
-                            failed=run.destination, phase="catch-up",
-                            reason=reason))
-                    if run.journal is not None:
-                        run.journal.destination = run.destination
+                    self._promote_standby(run, phase="catch-up",
+                                          reason=reason)
                     continue
                 abort_reason = "destination_failed"
             elif diverging is not None and fired is diverging:
@@ -1329,12 +1163,9 @@ class Middleware:
             watchdog_control["stop"] = True
             backlog = self._replication_backlog(state)
             elapsed = self.env.now - report.restored_at
-            self._abort_migration(state, run.dest_instance, tenant)
-            self.tracer.finish(phase_span, outcome=abort_reason,
-                               backlog_at_timeout=backlog)
-            self.tracer.finish(run.migration_span, outcome="aborted",
-                               reason=abort_reason, owner=report.source)
-            self._finalize_abort(state, report)
+            self._abort_migration(run, phase_span, abort_reason,
+                                  outcome=abort_reason,
+                                  backlog_at_timeout=backlog)
             if abort_reason == "destination_failed":
                 raise MigrationError(
                     "destination %s failed during catch-up (%s) and no "
@@ -1419,7 +1250,7 @@ class Middleware:
         if self.config.drop_source_copy:
             run.source_instance.drop_tenant(tenant)
         state.gate.open()
-        report.ended_at = self.env.now
+        self._close_report(state, report, "ok", run.destination)
         stats = propagator.stats
         report.syncsets_propagated = stats.syncsets_replayed
         report.operations_propagated = stats.operations_replayed
@@ -1435,14 +1266,9 @@ class Middleware:
                                             / report.slave_flush_count)
         if self.validator is not None:
             report.lsir_violations = self.validator.violations()
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
-        report.owner = run.destination
         report.source_crashed = run.source_instance.crashed
         if run.journal is not None:
-            run.journal.state = JOURNAL_COMPLETED
-            run.journal.phase = "done"
-            run.journal.manager = None
+            run.journal.close(completed=True)
         self.tracer.finish(phase_span)
         self.tracer.finish(
             run.migration_span, outcome="ok", owner=run.destination,
@@ -1482,23 +1308,15 @@ class Middleware:
         journal.suspend_phase = phase
         journal.suspended_at = self.env.now
         journal.manager = None
-        for proc in journal.snapshot_procs:
-            if proc.is_alive:
-                proc.interrupt("migration suspended")
-        journal.snapshot_procs = []
+        journal.stop_snapshot("migration suspended")
         for name in sorted(state.standby_propagators):
             self._drop_standby(state, name, phase=phase,
                                reason="migration suspended")
         record = self._handovers.get(state.name)
         if record is not None and record.state == HANDOVER_PREPARED:
             self._rollback_handover(record, reason="migration suspended")
-        if not state.gate.is_open:
-            state.gate.open()
-        report.outcome = "suspended"
-        report.ended_at = self.env.now
-        report.owner = report.source
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
+        state.gate.open()
+        self._close_report(state, report, "suspended", report.source)
         self.metrics.counter("migration.suspended").inc()
         self.tracer.event("migration.suspended", tenant=state.name,
                           phase=phase, resumes=journal.resumes,
@@ -1506,7 +1324,8 @@ class Middleware:
         self.reports.append(report)
 
     def _quiesce_for_resume(self, state: TenantState,
-                            journal: MigrationJournal
+                            journal: MigrationJournal,
+                            path: snapshot.SnapshotPath, span: Any
                             ) -> Generator[Any, Any, None]:
         """Silence every leftover of the interrupted attempt.
 
@@ -1522,52 +1341,22 @@ class Middleware:
         incomplete in a way no journal offset records — and the resume
         abandons instead.
         """
-        for proc in journal.snapshot_procs:
-            if proc.is_alive:
-                proc.interrupt("migration resumed")
-        journal.snapshot_procs = []
+        journal.stop_snapshot("migration resumed")
         for name in sorted(state.standby_propagators):
             self._drop_standby(state, name, phase="resume",
                                reason="migration resumed")
-        tap = state.change_tap
-        if tap is not None:
-            # Unpark an applier left waiting at a watermark of the
-            # interrupted attempt: its marker is still at the tap
-            # cursor, so cancelling fires the pending ``proceed`` and
-            # the resumed walk brackets the re-selected chunk afresh.
-            cancelled = tap.cancel_pending_markers()
-            if cancelled:
-                self.tracer.event("watermark.markers_cancelled",
-                                  tenant=state.name, count=cancelled)
-        elif journal.strategy == "watermark" and journal.phase == "dump":
-            journal.state = JOURNAL_ABANDONED
-            journal.manager = None
-            state.migrating = False
-            if not state.gate.is_open:
-                state.gate.open()
-            raise MigrationError(
-                "cannot resume tenant %r: the watermark change tap was "
-                "torn down mid-walk, so commit images since the last "
-                "watermark are unrecoverable — re-migrate from scratch"
-                % (state.name,))
+        reason = path.quiesce(self, state, journal)
+        if reason is not None:
+            self._abandon_resume(state, journal, span, reason)
         engine = state.propagator
         if engine is not None:
             if engine.failed is not None:
-                journal.state = JOURNAL_ABANDONED
-                journal.manager = None
                 state.propagator = None
-                state.migrating = False
-                if state.change_tap is not None:
-                    state.change_tap.cancel_pending_markers()
-                    state.change_tap = None
-                state.ssl.take_all()
-                if not state.gate.is_open:
-                    state.gate.open()
-                raise MigrationError(
-                    "cannot resume tenant %r: propagation failed while "
-                    "the migration was parked (%s); the destination "
-                    "copy is unrecoverable — re-migrate from scratch"
-                    % (state.name, engine.failed))
+                self._abandon_resume(
+                    state, journal, span,
+                    "propagation failed while the migration was parked "
+                    "(%s); the destination copy is unrecoverable"
+                    % (engine.failed,))
             if engine._stop_requested:
                 # The previous attempt died inside the handover drain.
                 # Wait the drain out (the gate is still closed, so the
@@ -1578,9 +1367,22 @@ class Middleware:
                     engine.stats.syncsets_replayed)
                 state.propagator = None
             # else: healthy and running — catch-up adopts it.
-        if not state.gate.is_open:
-            state.gate.open()
+        state.gate.open()
         state.migrating = True
+
+    def _abandon_resume(self, state: TenantState, journal: MigrationJournal,
+                        span: Any, reason: str,
+                        span_reason: str = "unresumable") -> NoReturn:
+        """Close a journal that cannot be resumed and its migration
+        span; raises :class:`MigrationError`."""
+        self._tear_down_migration(state)
+        journal.close(completed=False)
+        state.gate.open()
+        self.tracer.finish(span, outcome="abandoned", reason=span_reason,
+                           owner=journal.source)
+        raise MigrationError(
+            "cannot resume tenant %r: %s — re-migrate from scratch"
+            % (state.name, reason))
 
     def resume_migration(self, tenant: str,
                          options: Optional[MigrationOptions] = None
@@ -1616,35 +1418,28 @@ class Middleware:
                 and journal.manager.is_alive):
             raise MigrationError(
                 "tenant %r migration is still being managed" % tenant)
+        # A resume continues the journalled attempt; its snapshot
+        # strategy is a fact of the journal, not a per-call choice.
+        path = snapshot.path_for(journal.strategy)
         record = self._handovers.get(tenant)
         if record is not None and record.state == HANDOVER_READY:
             # The interrupted attempt got past the point of no return:
             # roll forward exactly as recover_routing() would.
             self._commit_handover(record, recovered=True)
         if self.route(tenant) == journal.destination:
-            return self._settle_resumed_handover(state, journal)
+            return self._settle_resumed_handover(state, journal, path)
         if record is not None and record.state == HANDOVER_PREPARED:
             self._rollback_handover(record, reason="resume")
         source_instance = self.cluster.node(journal.source).instance
         if source_instance.crashed:
             raise SourceCrashed(journal.source, "resume")
-        opts = (options or MigrationOptions()).resolve(self.config)
-        # A resume continues the journalled attempt; its snapshot
-        # strategy is a fact of the journal, not a per-call choice.
-        opts = replace(opts, strategy=SnapshotStrategy(journal.strategy))
-        watermark = opts.strategy is SnapshotStrategy.WATERMARK
+        opts = replace((options or MigrationOptions()).resolve(self.config),
+                       strategy=path.strategy)
         journal.state = JOURNAL_ACTIVE
         journal.resumes += 1
         journal.manager = self.env.active_process
         dest_instance = self.cluster.node(journal.destination).instance
-        report = MigrationReport(tenant, journal.source,
-                                 journal.destination,
-                                 self.config.policy.name,
-                                 started_at=self.env.now,
-                                 pipelined=journal.pipelined,
-                                 strategy=journal.strategy)
-        report.mts = journal.mts
-        report.resumed = True
+        report = self._resumed_report(journal, path)
         self.metrics.counter("migration.resumed").inc()
         self.tracer.event(
             "migration.resumed", tenant=tenant,
@@ -1669,80 +1464,41 @@ class Middleware:
             source_down=source_instance.wait_crashed(),
             snapshot_csn=journal.snapshot_csn, journal=journal,
             resume=True)
-        try:
-            yield from self._quiesce_for_resume(state, journal)
-        except MigrationError:
-            self.tracer.finish(migration_span, outcome="abandoned",
-                               reason="unresumable",
-                               owner=journal.source)
-            raise
-        restored = journal.chunks_restored.get(run.destination, 0)
-        if (watermark and restored
-                and not run.dest_instance.has_tenant(tenant)):
-            # A watermark copy lost while parked restarts the key walk
-            # from scratch: every change record already drained into
-            # the lost copy is re-covered by the live re-selects (the
-            # current row state *includes* those changes), so unlike
-            # the frozen-plan stream below nothing is unrecoverable.
-            journal.watermark_cursor = None
-            journal.watermark_chunks = 0
-            journal.chunks_restored[run.destination] = 0
-            journal.chunk_log.pop(run.destination, None)
-            journal.phase = "dump"
-            restored = 0
-            self.tracer.event("watermark.walk_restarted", tenant=tenant,
-                              destination=run.destination)
-        elif restored and not run.dest_instance.has_tenant(tenant):
-            # The destination lost its partial copy while the journal
-            # was parked.  Chunks can be re-shipped from the frozen
-            # plan, but a syncset already replayed into the lost copy
-            # is gone for good — only a dump-phase journal (no replay
-            # yet) may start the ship over.
-            if (state.propagator is not None or journal.replayed_syncsets
-                    or journal.phase != "dump"):
-                journal.state = JOURNAL_ABANDONED
-                journal.manager = None
-                if state.propagator is not None:
-                    state.propagator.request_stop()
-                    state.propagator = None
-                state.migrating = False
-                state.ssl.take_all()
-                self.tracer.finish(migration_span, outcome="abandoned",
-                                   reason="destination_lost_copy",
-                                   owner=journal.source)
-                raise MigrationError(
-                    "cannot resume tenant %r: destination %s lost its "
-                    "copy after catch-up began — re-migrate from "
-                    "scratch" % (tenant, run.destination))
-            journal.chunks_restored[run.destination] = 0
-            journal.chunk_log.pop(run.destination, None)
-            restored = 0
-        if watermark:
-            # The key walk has no frozen chunk plan; the journal phase
-            # says whether it finished before the interruption.
-            snapshot_done = journal.phase != "dump"
-        else:
-            snapshot_done = restored >= journal.total_chunks
-        if snapshot_done:
+        yield from self._quiesce_for_resume(state, journal, path,
+                                            migration_span)
+        if not path.recover_lost_copy(self, run):
+            self._abandon_resume(
+                state, journal, migration_span,
+                "destination %s lost its copy after catch-up began"
+                % (run.destination,), span_reason="destination_lost_copy")
+        if path.snapshot_done(journal, run.destination):
             # Snapshot fully installed before the interruption: skip
             # straight to catch-up.
             report.snapshot_at = self.env.now
             report.restored_at = self.env.now
             report.snapshot_size_mb = journal.size_mb
-            report.chunks_skipped = (journal.watermark_chunks if watermark
-                                     else journal.total_chunks)
+            report.chunks_skipped = path.chunks_done(journal)
         else:
             journal.phase = "dump"
             phase_span = self.tracer.phase(
                 "dump", parent=migration_span, pipelined=True,
-                resumed=True,
-                **({"strategy": "watermark"} if watermark else {}))
+                resumed=True, **path.resume_span_attrs)
             yield from self._snapshot_phase(run, phase_span)
         yield from self._catchup_phase(run)
         return (yield from self._handover_phase(run))
 
+    def _resumed_report(self, journal: MigrationJournal,
+                        path: snapshot.SnapshotPath) -> MigrationReport:
+        """A fresh report for a journalled re-entry."""
+        return MigrationReport(journal.tenant, journal.source,
+                               journal.destination, self.config.policy.name,
+                               started_at=self.env.now, mts=journal.mts,
+                               pipelined=path.pipelined,
+                               strategy=journal.strategy, resumed=True)
+
     def _settle_resumed_handover(self, state: TenantState,
-                                 journal: MigrationJournal
+                                 journal: MigrationJournal,
+                                 path: snapshot.SnapshotPath
                                  ) -> MigrationReport:
         """Finish a resume whose handover already rolled forward.
 
@@ -1753,45 +1509,20 @@ class Middleware:
         reporting the migration as complete.
         """
         tenant = state.name
-        for proc in journal.snapshot_procs:
-            if proc.is_alive:
-                proc.interrupt("handover rolled forward")
-        journal.snapshot_procs = []
-        state.migrating = False
-        if state.propagator is not None:
-            state.propagator.request_stop()
-            state.propagator = None
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
-        state.ssl.take_all()
-        for name in sorted(state.standby_propagators):
-            self._drop_standby(state, name, phase="resume",
-                               reason="handover rolled forward")
-        if not state.gate.is_open:
-            state.gate.open()
-        journal.state = JOURNAL_COMPLETED
-        journal.phase = "done"
+        journal.stop_snapshot("handover rolled forward")
+        self._tear_down_migration(state, phase="resume",
+                                  reason="handover rolled forward")
+        state.gate.open()
+        journal.close(completed=True)
         journal.resumes += 1
-        journal.manager = None
-        report = MigrationReport(tenant, journal.source,
-                                 journal.destination,
-                                 self.config.policy.name,
-                                 started_at=self.env.now,
-                                 pipelined=journal.pipelined,
-                                 strategy=journal.strategy)
-        report.mts = journal.mts
-        report.resumed = True
+        report = self._resumed_report(journal, path)
         report.snapshot_at = self.env.now
         report.restored_at = self.env.now
         report.caught_up_at = self.env.now
         report.switched_at = self.env.now
-        report.ended_at = self.env.now
         report.snapshot_size_mb = journal.size_mb
-        report.chunks_skipped = journal.total_chunks
-        report.owner = journal.destination
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
+        report.chunks_skipped = path.chunks_done(journal)
+        self._close_report(state, report, "ok", journal.destination)
         self.metrics.counter("migration.resumed").inc()
         self.metrics.counter("migration.completed").inc()
         self.tracer.event("migration.resumed", tenant=tenant,
@@ -1801,458 +1532,13 @@ class Middleware:
             "migration", kind=MIGRATION, tenant=tenant,
             source=journal.source, destination=journal.destination,
             policy=self.config.policy.name, standbys=0,
-            pipelined=journal.pipelined, strategy=journal.strategy,
+            pipelined=path.pipelined, strategy=journal.strategy,
             resumed=True, settled=True)
         self.tracer.finish(span, outcome="ok",
                            owner=journal.destination, resumed=True,
                            settled=True)
         self.reports.append(report)
         return report
-
-    def _pipelined_snapshot(self, run: _MigrationRun, dump_span: Any,
-                            restore_errors: Dict[str, Optional[str]],
-                            retry_backoff: Any) -> Generator:
-        """Steps 1+2, streamed: dump, ship, and restore overlap.
-
-        One producer process runs :func:`dump_stream` into a
-        :class:`ChunkFeed`; per destination node, a network pump and a
-        :func:`restore_stream` consume it through a bounded channel.
-        Back-pressure flows the whole way: slow destination disk ->
-        full channel -> idle pump -> stalled feed reader -> paused dump.
-
-        Per-node failure semantics match the serial path: transient
-        outages rewind the reader and resend from the feed base (the
-        feed retains emitted chunks exactly as the serial path retains
-        its materialised snapshot), crashes mark the node failed.
-
-        On a resumed run the journal's frozen chunk plan governs the
-        stream: the producer re-slices from the lowest chunk any node
-        still needs and each node's restore re-enters at its own
-        journalled offset.  Returns ``(dump_error, restore_span)`` with
-        the restore span left open — the caller owns standby discard /
-        failover and closes it.
-        """
-        tenant, opts, report = run.tenant, run.opts, run.report
-        journal = run.journal
-        rates = opts.rates
-        nodes = [run.destination, *run.standby_instances]
-        if run.resume:
-            assert journal is not None
-            size_mb = journal.size_mb
-            total: Optional[int] = journal.total_chunks
-            offsets = {name: min(journal.chunks_restored.get(name, 0),
-                                 journal.total_chunks)
-                       for name in nodes}
-            base = min(offsets.values())
-        else:
-            size_mb = run.source_instance.tenant(tenant).size_mb()
-            total = None
-            offsets = {name: 0 for name in nodes}
-            base = 0
-        report.snapshot_size_mb = size_mb
-        report.chunks_skipped = base
-        started = self.env.now
-        feed = ChunkFeed(self.env, depth=opts.pipeline_depth,
-                         name="feed.%s" % tenant)
-        readers = {name: feed.reader(name, start=offsets[name] - base)
-                   for name in nodes}
-        dump_result: Dict[str, Any] = {}
-
-        def journal_progress(node_name: str) -> Any:
-            def on_chunk(chunk: Any) -> None:
-                done = journal.chunks_restored.get(node_name, 0)
-                journal.chunks_restored[node_name] = max(
-                    done, chunk.index + 1)
-                journal.chunk_log.setdefault(node_name,
-                                             []).append(chunk.index)
-            return on_chunk
-
-        def producer() -> Generator:
-            try:
-                chunks = yield from dump_stream(
-                    run.source_instance, tenant, run.snapshot_csn,
-                    rates, feed, chunk_mb=opts.chunk_mb,
-                    start_index=base, total_chunks=total,
-                    total_size_mb=size_mb if run.resume else None)
-            except NodeCrashed as exc:
-                dump_result["error"] = exc
-                feed.fail(exc)
-                self.tracer.finish(dump_span, outcome="failed")
-            except RuntimeError as exc:
-                # Every reader failed permanently; the per-node errors
-                # in ``restore_errors`` tell the real story.
-                dump_result["error"] = exc
-                self.tracer.finish(dump_span, outcome="abandoned")
-            except Interrupt:
-                # Quiesced by a journalled re-entry; the resume's own
-                # producer takes over from the journalled offsets.
-                return
-            else:
-                report.chunks = chunks
-                report.snapshot_at = self.env.now
-                self.tracer.finish(dump_span, mts=report.mts,
-                                   size_mb=size_mb, chunks=chunks,
-                                   chunks_skipped=base)
-
-        producer_proc = self.env.process(producer(),
-                                         name="dump.%s" % tenant)
-        restore_span = self.tracer.phase("restore",
-                                         parent=run.migration_span,
-                                         size_mb=size_mb, pipelined=True)
-
-        def node_stream(node_name: str, instance: Any) -> Generator:
-            """Pump + streaming restore for one node; never raises."""
-            reader = readers[node_name]
-            resume_from = offsets[node_name]
-            attempt = 0
-            while True:
-                channel = Channel(self.env,
-                                  capacity=opts.pipeline_depth,
-                                  name="ship.%s.%s" % (tenant, node_name))
-                pump = self.env.process(
-                    self.cluster.network.pump_chunks(
-                        reader, channel,
-                        route=(report.source, node_name)),
-                    name="pump.%s.%s" % (tenant, node_name))
-                try:
-                    yield from restore_stream(
-                        instance, channel, rates, tenant_name=tenant,
-                        resume_from=resume_from,
-                        schemas=(journal.schemas if journal is not None
-                                 else None),
-                        expected_total=total,
-                        on_chunk=(journal_progress(node_name)
-                                  if journal is not None else None))
-                    restore_errors[node_name] = None
-                    return
-                except NetworkDown as exc:
-                    attempt += 1
-                    if pump.is_alive:
-                        pump.interrupt("ship retry")
-                    if base > 0:
-                        # Chunks below the feed base can never be
-                        # re-shipped on this stream; keep the copy and
-                        # re-enter at the base after the retry.
-                        resume_from = base
-                    else:
-                        if instance.has_tenant(tenant):
-                            # Discard the partial copy before resending.
-                            instance.drop_tenant(tenant)
-                        resume_from = 0
-                        if journal is not None:
-                            journal.chunks_restored[node_name] = 0
-                            journal.chunk_log.pop(node_name, None)
-                    if attempt > opts.retry_limit:
-                        restore_errors[node_name] = str(exc)
-                        reader.close()
-                        return
-                    yield from retry_backoff(node_name, attempt)
-                    reader.rewind()
-                except (NodeCrashed, SnapshotTruncated) as exc:
-                    if pump.is_alive:
-                        pump.interrupt("restore failed")
-                    restore_errors[node_name] = str(exc)
-                    reader.close()
-                    return
-                except Interrupt:
-                    # Quiesced by a journalled re-entry.
-                    if pump.is_alive:
-                        pump.interrupt("migration suspended")
-                    restore_errors[node_name] = "interrupted"
-                    return
-
-        runners = [self.env.process(
-            node_stream(run.destination, run.dest_instance),
-            name="restore.%s.%s" % (tenant, run.destination))]
-        runners += [self.env.process(
-            node_stream(name, instance),
-            name="restore.%s.%s" % (tenant, name))
-            for name, instance in run.standby_instances.items()]
-        if journal is not None:
-            journal.snapshot_procs = [producer_proc] + list(runners)
-        yield self.env.all_of(runners)
-        yield producer_proc  # the dump span is closed either way
-        window = self.env.now - started
-        dump_elapsed = report.snapshot_at - started
-        if size_mb > 0 and dump_elapsed > 0:
-            self.metrics.gauge("pipeline.dump_mb_s").set(
-                size_mb / dump_elapsed)
-        if size_mb > 0 and window > 0:
-            self.metrics.gauge("pipeline.restore_mb_s").set(
-                size_mb / window)
-        self.metrics.gauge("pipeline.chunks").set(report.chunks)
-        self.metrics.gauge("pipeline.backpressure_wait_s").set(
-            feed.producer_wait_time)
-        return dump_result.get("error"), restore_span
-
-    def _watermark_snapshot(self, run: _MigrationRun, dump_span: Any,
-                            restore_errors: Dict[str, Optional[str]],
-                            retry_backoff: Any) -> Generator:
-        """Steps 1+2, virtual-cut style: chunked selects under live load.
-
-        The DBLog watermark algorithm: every committed transaction's
-        row post-images flow through the tenant's :class:`ChangeTap`
-        and are replayed on the destination by a
-        :class:`ChangeStreamApplier` while this manager walks the key
-        space in chunks.  Each chunk select is bracketed by ``lo`` /
-        ``hi`` markers injected into the change stream; once the
-        applier has consumed everything before ``hi`` it parks, chunk
-        rows whose keys changed inside the window are dropped (the
-        stream already delivered a newer image), the survivors ship
-        over the shared prioritised bulk stream and install, and the
-        applier proceeds.  Installs therefore land strictly between the
-        in-window records and anything newer, so the copy is
-        snapshot-equivalent without ever freezing a CSN — and the
-        post-walk catch-up is bounded by chunk size, not dump duration.
-
-        Returns the still-open ``restore`` span (the caller's shared
-        tail stamps ``restored_at`` and closes it); destination
-        failures land in ``restore_errors`` like the other arms, and a
-        source crash raises through :meth:`_abort_source_crash`
-        (suspending first when journalled — ``journal.watermark_cursor``
-        / ``watermark_chunks`` let the resume re-enter the key walk at
-        the last fully installed chunk).
-        """
-        state, opts, report = run.state, run.opts, run.report
-        tenant = run.tenant
-        rates = opts.rates
-        journal = run.journal
-        tap = state.change_tap
-        assert tap is not None, "watermark migration without a change tap"
-        source_db = run.source_instance.tenant(tenant)
-        size_mb = source_db.size_mb()
-        total_rows = source_db.row_count()
-        mb_per_row = size_mb / total_rows if total_rows else 0.0
-        chunk_cap = (opts.chunk_mb if opts.chunk_mb is not None
-                     else rates.chunk_mb)
-        rows_per_chunk = (max(1, int(chunk_cap / mb_per_row))
-                          if mb_per_row > 0 else 1)
-        report.snapshot_size_mb = size_mb
-        cursor: Any = None
-        chunk_index = 0
-        if journal is not None:
-            cursor = journal.watermark_cursor
-            chunk_index = journal.watermark_chunks
-            report.chunks_skipped = journal.watermark_chunks
-        if journal is not None and journal.schemas:
-            specs = journal.schemas
-        else:
-            specs = []
-            for table_name in source_db.catalog.table_names():
-                table = source_db.table(table_name)
-                specs.append(SchemaSpec(table_name, table.schema.columns,
-                                        dict(table.schema.indexes)))
-        if not run.dest_instance.has_tenant(tenant):
-            create_from_schemas(run.dest_instance, tenant, specs,
-                                source_db.fixed_overhead_mb,
-                                source_db.size_multiplier)
-        applier = state.propagator
-        if applier is None:
-            applier = ChangeStreamApplier(
-                self.env, tap.consumer("dest"), report.source, state.ssl,
-                run.dest_instance, tenant, self.cluster.network,
-                self.config.policy, tracer=self.tracer,
-                metrics=self.metrics)
-            state.propagator = applier
-            applier.start()
-        # Standby fan-out off the same broadcast tap: each standby gets
-        # its own named cursor (one feed, N consumers — no per-reader
-        # re-read of the source) and replays the identical stream; the
-        # chunk walk below ships every deduplicated chunk to standbys
-        # too, so a surviving standby is exactly as complete as the
-        # destination at every point past the walk.
-        for name, instance in run.standby_instances.items():
-            if name in state.standby_propagators:
-                continue  # adopted across a resume
-            if not instance.has_tenant(tenant):
-                create_from_schemas(instance, tenant, specs,
-                                    source_db.fixed_overhead_mb,
-                                    source_db.size_multiplier)
-            standby_applier = ChangeStreamApplier(
-                self.env, tap.consumer("standby:%s" % name),
-                report.source, state.ssl, instance, tenant,
-                self.cluster.network, self.config.policy,
-                tracer=self.tracer, metrics=self.metrics,
-                metrics_prefix="propagation.standby.%s" % name)
-            state.standby_propagators[name] = standby_applier
-            standby_applier.start()
-        restore_span = self.tracer.phase(
-            "restore", parent=run.migration_span, size_mb=size_mb,
-            pipelined=True, strategy="watermark")
-        dest_tenant = run.dest_instance.tenant(tenant)
-
-        def fail_destination(reason: str) -> None:
-            restore_errors[run.destination] = reason
-            # A mid-walk standby holds chunks only up to the point of
-            # failure, so there is nothing complete to promote: discard
-            # the lot and let the shared tail abort.
-            for name in sorted(run.standby_instances):
-                run.standby_instances.pop(name)
-                self._drop_standby(state, name, phase="watermark",
-                                   reason="primary walk failed: %s"
-                                   % reason)
-            self.tracer.finish(dump_span, outcome="failed")
-
-        while True:
-            lo = tap.marker("lo", chunk_index)
-            self.tracer.event("watermark.lo", tenant=tenant,
-                              chunk=chunk_index)
-            applier.notify_linked()
-            try:
-                rows, next_cursor = yield from watermark_select(
-                    run.source_instance, tenant, cursor, rows_per_chunk,
-                    mb_per_row, rates)
-            except NodeCrashed:
-                self.tracer.finish(restore_span,
-                                   outcome="source_crashed")
-                self._abort_source_crash(state, run.dest_instance,
-                                         tenant, report,
-                                         run.migration_span, dump_span,
-                                         phase="dump")
-            hi = tap.marker("hi", chunk_index)
-            applier.notify_linked()
-            for prop in state.standby_propagators.values():
-                prop.notify_linked()
-            while not hi.reached.triggered:
-                standby_failed = {
-                    name: prop.wait_failed()
-                    for name, prop in state.standby_propagators.items()}
-                waits = [hi.reached, applier.wait_failed(),
-                         run.source_down]
-                waits.extend(standby_failed.values())
-                fired = yield self.env.any_of(waits)
-                if fired is run.source_down:
-                    self.tracer.finish(restore_span,
-                                       outcome="source_crashed")
-                    self._abort_source_crash(state, run.dest_instance,
-                                             tenant, report,
-                                             run.migration_span,
-                                             dump_span, phase="dump")
-                if hi.reached.triggered:
-                    break
-                dropped = None
-                for name, event in standby_failed.items():
-                    if fired is event:
-                        dropped = name
-                        break
-                if dropped is not None:
-                    # Section 4.2 applied to the broadcast: discard the
-                    # dead consumer's cursor (which may be the one the
-                    # ``hi`` marker is still waiting on) and walk on.
-                    reason = (state.standby_propagators[dropped].failed
-                              or "replay failed")
-                    run.standby_instances.pop(dropped, None)
-                    self._drop_standby(state, dropped, phase="watermark",
-                                       reason=reason)
-                    continue
-                # The destination applier died replaying the stream;
-                # the shared tail aborts.
-                fail_destination(applier.failed or "replay failed")
-                return restore_span
-            window = tap.window_keys(lo, hi)
-            fresh = {table_name: {key: row
-                                  for key, row in table_rows.items()
-                                  if (table_name, key) not in window}
-                     for table_name, table_rows in rows.items()}
-            selected = sum(map(len, rows.values()))
-            kept = sum(map(len, fresh.values()))
-            chunk_mb = mb_per_row * kept
-            attempt = 0
-            while True:
-                try:
-                    if chunk_mb > 0:
-                        yield from self.cluster.network.bulk_transfer(
-                            report.source, run.destination, chunk_mb)
-                    break
-                except NetworkDown as exc:
-                    attempt += 1
-                    if attempt > opts.retry_limit:
-                        fail_destination(str(exc))
-                        return restore_span
-                    yield from retry_backoff(run.destination, attempt)
-            if chunk_mb > 0:
-                yield from run.dest_instance.disk.write(chunk_mb)
-                spec = run.dest_instance.disk.spec
-                io_time = (spec.seek_latency
-                           + chunk_mb / spec.write_bandwidth_mb_s)
-                pace = restore_duration(chunk_mb, rates) - io_time
-                if pace > 0:
-                    yield self.env.timeout(pace)
-            if run.dest_instance.crashed:
-                fail_destination("%s crashed during watermark install"
-                                 % run.destination)
-                return restore_span
-            dest_tenant.install_many(run.dest_instance.next_csn(), fresh)
-            # Fan the deduplicated chunk out to the standbys before any
-            # consumer resumes past ``hi``: installs must land strictly
-            # between the in-window records and anything newer on every
-            # copy, or the standby loses snapshot-equivalence.  A
-            # standby that cannot take the chunk is discarded; it never
-            # stalls the primary walk.
-            for name in sorted(run.standby_instances):
-                instance = run.standby_instances[name]
-                standby_error: Optional[str] = None
-                attempt = 0
-                try:
-                    while True:
-                        try:
-                            if chunk_mb > 0:
-                                yield from (
-                                    self.cluster.network.bulk_transfer(
-                                        report.source, name, chunk_mb))
-                            break
-                        except NetworkDown as exc:
-                            attempt += 1
-                            if attempt > opts.retry_limit:
-                                standby_error = str(exc)
-                                break
-                            yield from retry_backoff(name, attempt)
-                    if standby_error is None and chunk_mb > 0:
-                        yield from instance.disk.write(chunk_mb)
-                except NodeCrashed as exc:
-                    standby_error = str(exc)
-                if standby_error is None and instance.crashed:
-                    standby_error = ("%s crashed during watermark "
-                                     "install" % name)
-                if standby_error is not None:
-                    run.standby_instances.pop(name)
-                    self._drop_standby(state, name, phase="watermark",
-                                       reason=standby_error)
-                    continue
-                instance.tenant(tenant).install_many(instance.next_csn(),
-                                                     fresh)
-            if not hi.proceed.triggered:
-                hi.proceed.succeed()
-            self.tracer.event("watermark.hi", tenant=tenant,
-                              chunk=chunk_index, rows=selected,
-                              deduped=selected - kept,
-                              window=len(window))
-            chunk_index += 1
-            report.chunks += 1
-            if journal is not None:
-                journal.watermark_chunks = chunk_index
-                journal.watermark_cursor = next_cursor
-                journal.chunks_restored[run.destination] = chunk_index
-                journal.chunk_log.setdefault(
-                    run.destination, []).append(chunk_index - 1)
-                for name in run.standby_instances:
-                    journal.chunks_restored[name] = chunk_index
-                    journal.chunk_log.setdefault(
-                        name, []).append(chunk_index - 1)
-            if next_cursor is None:
-                break
-            cursor = next_cursor
-        finalize_indexes(dest_tenant, specs)
-        for name, instance in run.standby_instances.items():
-            finalize_indexes(instance.tenant(tenant), specs)
-        report.snapshot_at = self.env.now
-        self.metrics.gauge("watermark.chunks").set(report.chunks)
-        self.metrics.gauge("watermark.backlog_at_walk_end").set(
-            tap.pending_count())
-        self.tracer.finish(dump_span, mts=report.mts, size_mb=size_mb,
-                           chunks=report.chunks,
-                           chunks_skipped=report.chunks_skipped)
-        return restore_span
 
     def _publish_report_metrics(self, report: MigrationReport,
                                 stats: Any) -> None:
@@ -2309,10 +1595,8 @@ class Middleware:
         self.tracer.event("migration.standby_dropped", tenant=state.name,
                           node=node_name, phase=phase, reason=reason)
 
-    def _promote_standby(self, state: TenantState,
-                         standby_instances: Dict[str, Any],
-                         report: MigrationReport, tenant: str,
-                         failed: str, phase: str, reason: str):
+    def _promote_standby(self, run: _MigrationRun, phase: str,
+                         reason: str) -> None:
         """Fail over: the first surviving standby becomes destination.
 
         During catch-up the standby's SSL and propagator simply take
@@ -2323,8 +1607,10 @@ class Middleware:
         primary's cursor is discarded and the tap keeps feeding the
         survivor.  Survivor choice is sorted-order for determinism.
         """
-        promoted = sorted(standby_instances)[0]
-        instance = standby_instances.pop(promoted)
+        state, report = run.state, run.report
+        failed = run.destination
+        promoted = sorted(run.standby_instances)[0]
+        instance = run.standby_instances.pop(promoted)
         standby_prop = state.standby_propagators.pop(promoted, None)
         standby_ssl = state.standby_ssls.pop(promoted, None)
         if standby_prop is not None:
@@ -2340,10 +1626,12 @@ class Middleware:
         report.destination = promoted
         report.failovers += 1
         self.metrics.counter("migration.failover").inc()
-        self.tracer.event("migration.failover", tenant=tenant,
+        self.tracer.event("migration.failover", tenant=run.tenant,
                           failed=failed, promoted=promoted, phase=phase,
                           reason=reason)
-        return promoted, instance
+        run.destination, run.dest_instance = promoted, instance
+        if run.journal is not None:
+            run.journal.destination = promoted
 
     # ------------------------------------------------------------------
     # two-step ownership switch (handover journal)
@@ -2385,10 +1673,8 @@ class Middleware:
         self.tracer.event("handover.rollback", tenant=record.tenant,
                           owner=record.source, reason=reason)
 
-    def _abort_source_crash(self, state: TenantState, dest_instance: Any,
-                            tenant: str, report: MigrationReport,
-                            migration_span: Any, phase_span: Any,
-                            phase: str) -> None:
+    def _abort_source_crash(self, run: _MigrationRun, phase_span: Any,
+                            phase: str) -> NoReturn:
         """Abort because the master crashed; raises :class:`SourceCrashed`.
 
         Section 4.2: "if the master fails, Madeus aborts the migration."
@@ -2402,28 +1688,26 @@ class Middleware:
         :meth:`resume_migration` can re-enter after the master recovers.
         Either way :class:`SourceCrashed` propagates to the caller.
         """
+        report = run.report
         report.source_crashed = True
         self.metrics.counter("migration.source_crashed").inc()
-        self.tracer.event("migration.source_crashed", tenant=tenant,
+        self.tracer.event("migration.source_crashed", tenant=run.tenant,
                           source=report.source, phase=phase)
-        journal = self._journals.get(tenant)
+        journal = self._journals.get(run.tenant)
         if journal is not None and journal.state == JOURNAL_ACTIVE:
-            self._suspend_migration(state, journal, report, phase)
+            self._suspend_migration(run.state, journal, report, phase)
             self.tracer.finish(phase_span, outcome="source_crashed")
-            self.tracer.finish(migration_span, outcome="suspended",
+            self.tracer.finish(run.migration_span, outcome="suspended",
                                reason="source_crashed",
                                owner=report.source)
-            raise SourceCrashed(report.source, phase)
-        self._abort_migration(state, dest_instance, tenant)
-        self.tracer.finish(phase_span, outcome="source_crashed")
-        self.tracer.finish(migration_span, outcome="aborted",
-                           reason="source_crashed", owner=report.source)
-        self._finalize_abort(state, report)
+        else:
+            self._abort_migration(run, phase_span, "source_crashed",
+                                  outcome="source_crashed")
         raise SourceCrashed(report.source, phase)
 
-    def _finalize_abort(self, state: TenantState,
-                        report: MigrationReport) -> None:
-        """Stamp and record a report for a migration that aborted.
+    def _abort_migration(self, run: _MigrationRun, phase_span: Any,
+                         reason: str, **phase_attrs: Any) -> None:
+        """Tear down a failed migration, close its spans, and report it.
 
         Aborted migrations are reported too: ``ended_at`` is set (so
         ``migration_time`` is meaningful), ``outcome`` says why it is
@@ -2432,19 +1716,19 @@ class Middleware:
         recovers) ownership, and any handover record left in doubt by
         the abort rolls back so the journal resolves to one owner.
         """
-        report.outcome = "aborted"
-        report.ended_at = self.env.now
-        report.owner = report.source
-        report.failed_standbys = list(state.failed_standbys)
-        state.failed_standbys.clear()
+        state, report = run.state, run.report
+        self._tear_down_migration(state)
+        self.tracer.finish(phase_span, **phase_attrs)
+        self.tracer.finish(run.migration_span, outcome="aborted",
+                           reason=reason, owner=report.source)
+        self._close_report(state, report, "aborted", report.source)
         record = self._handovers.get(report.tenant)
         if record is not None and record.state in (HANDOVER_PREPARED,
                                                    HANDOVER_READY):
             self._rollback_handover(record, reason="migration aborted")
         journal = self._journals.get(report.tenant)
         if journal is not None and journal.state == JOURNAL_ACTIVE:
-            journal.state = JOURNAL_ABANDONED
-            journal.manager = None
+            journal.close(completed=False)
         self.metrics.counter("migration.aborted").inc()
         self.metrics.absorb("migration.last", {
             "migration_time": report.migration_time,
@@ -2454,6 +1738,15 @@ class Middleware:
             "ship_retries": report.ship_retries,
         })
         self.reports.append(report)
+
+    def _close_report(self, state: TenantState, report: MigrationReport,
+                      outcome: str, owner: str) -> None:
+        """Stamp how a migration ended and who owns the tenant now."""
+        report.outcome = outcome
+        report.ended_at = self.env.now
+        report.owner = owner
+        report.failed_standbys = list(state.failed_standbys)
+        state.failed_standbys.clear()
 
     def _divergence_watchdog(self, state: TenantState, fired: Event,
                              control: Dict[str, bool],
@@ -2489,30 +1782,24 @@ class Middleware:
                     fired.succeed()
                 return
 
-    def _abort_migration(self, state: TenantState,
-                         dest_instance: Any, tenant: str) -> None:
-        """Tear down a failed migration: stop linking and drop backlog.
+    def _tear_down_migration(self, state: TenantState,
+                             phase: str = "abort",
+                             reason: str = "migration aborted") -> None:
+        """Stop linking, stop every engine, and drop every backlog.
 
         The orphaned slave copy is intentionally left in place: in-flight
         players may still be replaying against it, and the destination is
         abandoned by the caller anyway (the paper reports this outcome as
         "N/A" for B-CON under heavy workload).
         """
-        del dest_instance, tenant
         state.migrating = False
         if state.propagator is not None:
             state.propagator.request_stop()
             state.propagator = None
-        # A watermark tap dies with the migration: unpark any applier
-        # waiting at a marker so its engine can wind down, then stop
-        # capturing commit images.
-        if state.change_tap is not None:
-            state.change_tap.cancel_pending_markers()
-            state.change_tap = None
+        snapshot.close_tap(state)
         # Unlink any backlog so the SSL does not leak into a retry.
         state.ssl.take_all()
         # Standby engines must wind down too, or their propagators and
         # SSLs would leak into (and corrupt) a retry of the migration.
         for name in sorted(state.standby_propagators):
-            self._drop_standby(state, name, phase="abort",
-                               reason="migration aborted")
+            self._drop_standby(state, name, phase=phase, reason=reason)

@@ -83,6 +83,14 @@ class LogicalSnapshot:
     size_multiplier: float = 1.0
 
 
+def schema_specs(tenant: Any) -> List[SchemaSpec]:
+    """The schema specs of every table of ``tenant``, in catalog order."""
+    schemas = {name: tenant.table(name).schema
+               for name in tenant.catalog.table_names()}
+    return [SchemaSpec(name, schema.columns, dict(schema.indexes))
+            for name, schema in schemas.items()]
+
+
 def snapshot_size_mb(instance: DbmsInstance, tenant_name: str) -> float:
     """Current nominal size of a tenant, in MB."""
     return instance.tenant(tenant_name).size_mb()
@@ -143,16 +151,14 @@ def dump(instance: DbmsInstance, tenant_name: str, snapshot_csn: int,
         if pace > 0:
             yield instance.env.timeout(pace)
         remaining -= chunk
-    schemas: List[SchemaSpec] = []
     rows: Dict[str, Dict[Hashable, Dict[str, Any]]] = {}
     for table_name in tenant.catalog.table_names():
         table = tenant.table(table_name)
-        schemas.append(SchemaSpec(table_name, table.schema.columns,
-                                  dict(table.schema.indexes)))
         rows[table_name] = {key: dict(row)
                             for key, row in table.visible_rows(snapshot_csn)}
-    return LogicalSnapshot(tenant_name, snapshot_csn, schemas, rows, size_mb,
-                           tenant.fixed_overhead_mb, tenant.size_multiplier)
+    return LogicalSnapshot(tenant_name, snapshot_csn, schema_specs(tenant),
+                           rows, size_mb, tenant.fixed_overhead_mb,
+                           tenant.size_multiplier)
 
 
 def restore_duration(size_mb: float, rates: TransferRates) -> float:
@@ -197,10 +203,7 @@ def restore(instance: DbmsInstance, snapshot: LogicalSnapshot,
     # Bulk-install the snapshot rows at a fresh CSN on the destination.
     tenant.install_many(instance.next_csn(), snapshot.rows)
     # Recreate secondary indexes (their build time is inside ``duration``).
-    for spec in snapshot.schemas:
-        table = tenant.table(spec.name)
-        for index_name, column in spec.indexes.items():
-            table.create_index(index_name, column)
+    finalize_indexes(tenant, snapshot.schemas)
     return name
 
 
@@ -284,15 +287,12 @@ def dump_stream(instance: DbmsInstance, tenant_name: str,
     # slicing the capture across chunk emissions changes nothing.  It
     # is a flat key list beside a flat row list, one span per table, so
     # the collector sees no per-row container.
-    schemas: List[SchemaSpec] = []
+    schemas = schema_specs(tenant)
     keys: List[Hashable] = []
     images: List[Dict[str, Any]] = []
     spans: List[Tuple[str, int, int]] = []
     for table_name in tenant.catalog.table_names():
-        table = tenant.table(table_name)
-        schemas.append(SchemaSpec(table_name, table.schema.columns,
-                                  dict(table.schema.indexes)))
-        visible = dict(table.visible_rows(snapshot_csn))
+        visible = dict(tenant.table(table_name).visible_rows(snapshot_csn))
         spans.append((table_name, len(keys), len(keys) + len(visible)))
         keys.extend(visible)
         images.extend(map(dict, visible.values()))

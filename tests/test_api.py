@@ -123,28 +123,23 @@ class TestUnifiedKnobNames:
             assert "strategy" in fields, cls.__name__
 
     def test_retired_ship_retry_spellings_raise_type_error(self):
-        # The PR 8 shim served its one-release DeprecationWarning
-        # window; the old names are now hard errors that point at the
-        # unified spellings.
-        for retired, current in (("ship_retry_limit", "retry_limit"),
-                                 ("ship_retry_base", "retry_base"),
-                                 ("ship_retry_cap", "retry_cap"),
-                                 ("resumable", "resume")):
-            with pytest.raises(TypeError, match=current):
+        # The retired spellings are not fields: the dataclass
+        # constructor rejects each as an unknown keyword.
+        for retired in ("ship_retry_limit", "ship_retry_base",
+                        "ship_retry_cap", "resumable"):
+            with pytest.raises(TypeError, match=retired):
                 MigrationOptions(**{retired: 1})
 
-    def test_retired_pipeline_bool_raises_naming_the_strategy(self):
-        # The PR 9 one-release DeprecationWarning window is over: the
-        # boolean spelling is now a hard error that names the exact
-        # SnapshotStrategy member to use instead.
-        with pytest.raises(TypeError, match="SnapshotStrategy.PIPELINED"):
-            MigrationOptions(pipeline=True)
-        with pytest.raises(TypeError, match="SnapshotStrategy.SERIAL"):
-            MigrationOptions(pipeline=False)
+    def test_retired_pipeline_bool_raises_type_error(self):
+        # ``strategy`` replaced the boolean; ``pipeline`` is not a
+        # field, so the constructor rejects it as unknown.
+        for value in (True, False):
+            with pytest.raises(TypeError, match="pipeline"):
+                MigrationOptions(pipeline=value)
 
     def test_retired_pipeline_bool_rejects_even_with_strategy(self):
         from repro.api import SnapshotStrategy
-        with pytest.raises(TypeError, match="SnapshotStrategy"):
+        with pytest.raises(TypeError, match="pipeline"):
             MigrationOptions(
                 strategy=SnapshotStrategy.WATERMARK, pipeline=True)
 
@@ -162,7 +157,7 @@ class TestMigrationOptions:
     def test_defaults_are_all_inherit(self):
         options = MigrationOptions()
         assert options.rates is None
-        assert options.pipeline is None
+        assert options.strategy is None
         assert options.standbys is None
 
     def test_resolve_fills_from_config(self):
@@ -190,7 +185,7 @@ class TestMigrationOptions:
 
     def test_options_are_immutable(self):
         with pytest.raises(Exception):
-            MigrationOptions().pipeline = True
+            MigrationOptions().strategy = "serial"
 
 
 class TestScheduleOptions:

@@ -10,9 +10,16 @@ an identical migration report, and byte-identical paper-figure text.
 import dataclasses
 import json
 
+import pytest
+
+from repro.core import MigrationOptions
+from repro.errors import SourceCrashed
 from repro.experiments import get_profile
 from repro.experiments import migration_time, preliminary
 from repro.experiments.common import TenantSetup, build_testbed
+from repro.sim import Environment, Interrupt
+
+from test_fault_tolerance import RATES, build, seed_tenant
 
 SMOKE = get_profile("smoke")
 
@@ -77,3 +84,154 @@ def _run_seeded(seed):
     outcome = testbed.migrate_async("A", "node1")
     testbed.run_until(lambda: outcome.get("done", False))
     return outcome["report"], testbed
+
+
+# ---------------------------------------------------------------------
+# Snapshot-path pins: exact values for runs no BENCH_*.json exercises
+# (standbys, ship retries, journalled resume).  Recorded once; any
+# change to how the three snapshot strategies schedule their work
+# shows up here as a changed float, count or chunk log.
+# ---------------------------------------------------------------------
+
+STRATEGIES = ("serial", "pipelined", "watermark")
+
+#: (started_at, snapshot_at, restored_at, caught_up_at, switched_at,
+#: ended_at), chunks, chunks_skipped, ship_retries, journal chunk_log.
+STANDBY_PINS = {
+    "serial": (
+        (0.25, 2.2546720000000002, 8.11650576, 8.186552426666637,
+         8.251779093333274, 8.251779093333274),
+        0, 0, 6, {}),
+    "pipelined": (
+        (0.25, 4.479925978181819, 8.55220961454546, 8.622256281212096,
+         8.687482947878733, 8.687482947878733),
+        11, 0, 10, {"node1": list(range(11)), "node2": list(range(11))}),
+    "watermark": (
+        (0.25, 10.746554204444452, 10.746554204444452,
+         10.746554204444452, 10.748554204444453, 10.748554204444453),
+        16, 0, 5, {"node1": list(range(16)), "node2": list(range(16))}),
+}
+
+RESUME_PINS = {
+    # The serial path notices a source crash only once its restores
+    # land, so the whole plan is already installed and skipped.
+    "serial": (
+        (7.357036897836751, 7.357036897836751, 7.357036897836751,
+         7.952370231170185, 7.987790231170191, 7.987790231170191),
+        0, 11, 0, {}),
+    "pipelined": (
+        (1.8282745069276591, 3.3153086887458403, 5.659114405109479,
+         6.250567738442915, 6.2791910717762525, 6.2791910717762525),
+        8, 3, 0, {"node1": list(range(11))}),
+    "watermark": (
+        (1.3741442548731113, 7.089247358873115, 7.089247358873115,
+         7.089247358873115, 7.091247358873114, 7.091247358873114),
+        13, 3, 0, {"node1": list(range(16))}),
+}
+
+
+def _snapshot_options(strategy, **extra):
+    return MigrationOptions(rates=RATES, chunk_mb=1.0, strategy=strategy,
+                            **extra)
+
+
+def _pinned(report, journal):
+    stamps = (report.started_at, report.snapshot_at, report.restored_at,
+              report.caught_up_at, report.switched_at, report.ended_at)
+    assert report.outcome == "ok"
+    assert report.consistent is True
+    return (stamps, report.chunks, report.chunks_skipped,
+            report.ship_retries, dict(journal.chunk_log))
+
+
+def _journalled_testbed(nodes, **tenant_kwargs):
+    env = Environment()
+    cluster, middleware = build(env, nodes=nodes, resumable=True)
+    seed_tenant(env, cluster, middleware, overhead_mb=10.0,
+                **tenant_kwargs)
+    return env, cluster, middleware
+
+
+def _resume(env, middleware, strategy):
+    holder = {}
+
+    def main(env):
+        holder["report"] = yield from middleware.resume_migration(
+            "A", _snapshot_options(strategy))
+    env.process(main(env))
+    env.run()
+    return holder["report"]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_standby_migration_across_an_outage_is_pinned(strategy):
+    """One standby, and a link outage covering the first 2.5 s so every
+    strategy's ship retry loop runs."""
+    env, cluster, middleware = _journalled_testbed(3, think_time=0.05)
+    cluster.network.fail_link()
+
+    def healer(env):
+        yield env.timeout(2.5)
+        cluster.network.restore_link()
+    env.process(healer(env))
+    holder = {}
+
+    def main(env):
+        holder["report"] = yield from middleware.migrate(
+            "A", "node1", _snapshot_options(strategy,
+                                            standbys=("node2",)))
+    env.process(main(env))
+    env.run()
+    report = holder["report"]
+    assert report.standby_consistency == {"node2": True}
+    assert _pinned(report, middleware.migration_journal("A")) \
+        == STANDBY_PINS[strategy]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_resume_after_a_mid_dump_source_crash_is_pinned(strategy):
+    env, cluster, middleware = _journalled_testbed(2)
+    holder = {}
+
+    def main(env):
+        with pytest.raises(SourceCrashed):
+            yield from middleware.migrate("A", "node1",
+                                          _snapshot_options(strategy))
+        holder["parked"] = True
+    env.process(main(env))
+    env.run(until=env.now + 1.0)
+    source = cluster.node("node0").instance
+    source.crash()
+    env.run()
+    assert holder["parked"]
+    restart = env.process(source.restart())
+    env.run()
+    assert restart.ok
+    report = _resume(env, middleware, strategy)
+    assert report.resumed is True
+    assert _pinned(report, middleware.migration_journal("A")) \
+        == RESUME_PINS[strategy]
+
+
+def test_resumed_serial_migration_streams_from_the_journal():
+    """A serial migration whose manager dies mid-dump resumes on the
+    streamed path: chunked, re-shipping the whole frozen plan."""
+    env, _cluster, middleware = _journalled_testbed(2)
+    holder = {}
+
+    def main(env):
+        with pytest.raises(Interrupt):
+            yield from middleware.migrate("A", "node1",
+                                          _snapshot_options("serial"))
+        holder["killed"] = True
+    manager = env.process(main(env))
+    env.run(until=env.now + 1.0)
+    manager.interrupt("manager died")
+    env.run(until=env.now + 0.5)
+    assert holder["killed"]
+    report = _resume(env, middleware, "serial")
+    assert report.strategy == "serial" and report.pipelined is False
+    assert _pinned(report, middleware.migration_journal("A")) == (
+        (1.75, 3.7946719999999994, 6.944934443636367, 7.616117776969814,
+         7.664441110303156, 7.664441110303156),
+        11, 0, 0, {"node1": list(range(11))})

@@ -30,7 +30,7 @@ from repro.core.middleware import JOURNAL_COMPLETED
 from repro.core.scheduler import ScheduleOptions
 from repro.errors import MigrationError, SourceCrashed
 from repro.obs.trace import check_phase_order
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 from _helpers import drive
 from test_fault_tolerance import RATES, build, seed_tenant
@@ -379,6 +379,47 @@ def test_resume_mid_chunk(walk_window):
     # the rest, so both sides of the split are non-empty.
     assert report.chunks_skipped >= 1
     assert report.chunks >= 1
+
+
+
+def test_settled_resume_reports_the_walked_chunks_as_skipped():
+    """The manager dies between the handover ``ready`` record and the
+    routing flip; the resume rolls forward and settles.  Every chunk the
+    walk installed was skipped by that resume — the walk count, not the
+    frozen dump plan (16 walked chunks against an 11-chunk plan here)."""
+
+    def run(kill_at=None):
+        env = Environment()
+        cluster, middleware = build(env, nodes=2, resumable=True)
+        seed_tenant(env, cluster, middleware, overhead_mb=10.0)
+        holder = {}
+
+        def main(env):
+            try:
+                holder["report"] = yield from middleware.migrate(
+                    "A", "node1", _options())
+            except Interrupt:
+                holder["killed"] = True
+        manager = env.process(main(env))
+        if kill_at is not None:
+            env.run(until=kill_at)
+            manager.interrupt("manager died")
+        env.run()
+        return env, middleware, holder
+
+    _env, probe, _holder = run()
+    times = {event.name: event.time for event in probe.tracer.events
+             if event.name in ("handover.ready", "handover.commit")}
+    env, middleware, holder = run(
+        (times["handover.ready"] + times["handover.commit"]) / 2)
+    assert holder == {"killed": True}
+    holder = _launch(env, middleware, resume=True)
+    env.run()
+    report = holder["report"]
+    journal = middleware.migration_journal("A")
+    assert report.outcome == "ok" and report.owner == "node1"
+    assert journal.watermark_chunks != journal.total_chunks
+    assert report.chunks_skipped == journal.watermark_chunks
 
 
 if __name__ == "__main__":
