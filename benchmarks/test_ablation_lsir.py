@@ -30,10 +30,11 @@ def _migrate_with_group_commit(profile, group_commit):
     testbed.node("node1").instance.wal.group_commit = group_commit
     warmup = max(2.0, profile.duration(30.0))
     testbed.run(until=warmup)
-    outcome = testbed.migrate_async("A", "node1")
+    runner = testbed.migrate_async("A", "node1")
+    env = testbed.env
     cap = warmup + profile.catchup_deadline + profile.duration(600.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    return outcome.get("report")
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+    return runner.value.get("report") if runner.processed else None
 
 
 def test_ablation_lsir_ingredients(benchmark, profile, publish):

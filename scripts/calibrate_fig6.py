@@ -4,8 +4,8 @@ import time
 
 from repro.sim import Environment, StreamFactory
 from repro.cluster import Cluster
-from repro.core import (Middleware, MiddlewareConfig, MADEUS, B_ALL, B_MIN,
-                        B_CON, policy_by_name)
+from repro.core import (Middleware, MiddlewareConfig, MigrationOptions,
+                        policy_by_name)
 from repro.errors import CatchUpTimeout
 from repro.engine.dump import TransferRates
 from repro.workload.tpcw import (EbConfig, PopulationParams, TpcwContext,
@@ -33,14 +33,13 @@ def run(policy, ebs, deadline=1200.0):
     def mig(env):
         yield env.timeout(30)
         try:
-            rep = yield from mw.migrate("A", "node1", TransferRates())
+            rep = yield from mw.migrate(
+                "A", "node1", MigrationOptions(rates=TransferRates()))
             out["r"] = rep
         except CatchUpTimeout as exc:
             out["na"] = exc
-    env.process(mig(env))
     t0 = time.time()
-    while not out and env.now < 2500:
-        env.run(until=env.now + 25)
+    env.run(until=env.any_of([env.process(mig(env)), env.timeout(2500)]))
     wall = time.time() - t0
     if "r" in out:
         r = out["r"]

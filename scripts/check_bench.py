@@ -230,9 +230,15 @@ PARALLEL_COMPARISON_FIELDS = ("policy", "max_concurrent",
 def check_parallel_comparisons(data, min_improvement):
     """Relative-ordering failures for multitenant_parallel."""
     failures = []
-    modes = {case.get("mode") for case in data.get("cases", [])}
+    cases = data.get("cases", [])
+    modes = {case.get("mode") for case in cases}
     if not any(m == "serialized" for m in modes if m):
         failures.append("no serialized baseline cases")
+    # The baseline runs its migrations back to back, so its wall clock
+    # is exactly the sum of theirs: anything longer is idle time the
+    # measurement added (e.g. waiting for a polling boundary).
+    serialized_sum = sum(case.get("wall_clock", 0.0) for case in cases
+                         if case.get("mode") == "serialized")
     if not any(m and m.startswith("concurrent:") for m in modes):
         failures.append("no concurrent (scheduled) cases")
     comparisons = data.get("comparisons") or []
@@ -257,6 +263,13 @@ def check_parallel_comparisons(data, min_improvement):
                 "(%.3f s)"
                 % (label, comparison["concurrent_wall_clock"],
                    comparison["serialized_wall_clock"]))
+        if (abs(comparison["serialized_wall_clock"] - serialized_sum)
+                > 1e-6 * serialized_sum):
+            failures.append(
+                "%s: serialized_wall_clock %.6f s is not the sum of the "
+                "serialized cases' wall_clock (%.6f s)"
+                % (label, comparison["serialized_wall_clock"],
+                   serialized_sum))
         if comparison["max_in_flight"] < 1:
             failures.append("%s: max_in_flight < 1" % label)
         if (comparison["max_concurrent"]

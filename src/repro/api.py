@@ -61,7 +61,8 @@ The surface, by layer:
   API ``snapshot()`` / ``gauge_value(name, default)``;
 * :class:`QuantileHistogram` — the sample-retaining histogram behind
   the router's per-request downtime metric (``p50``/``p90``/``p99``
-  via nearest-rank ``quantile(q)``).
+  via nearest-rank ``quantile(q)``: the sorted sample at 0-based
+  index ``ceil(q * n) - 1``).
 
 **Harness**:
 

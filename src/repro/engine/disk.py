@@ -50,9 +50,13 @@ class Disk:
     # ------------------------------------------------------------------
     def _occupy(self, duration: float) -> Generator:
         request = self.head.request()
-        yield request
-        yield self.env.timeout(duration)
-        self.head.release(request)
+        try:
+            yield request
+            yield self.env.timeout(duration)
+        finally:
+            # An interrupted I/O still gives the head back (or leaves
+            # the queue), or every later request on this disk hangs.
+            self.head.release(request)
 
     def fsync(self, payload_mb: float = 0.0) -> Generator:
         """Synchronous log flush: seek + rotational latency + payload.

@@ -291,13 +291,15 @@ def _run_migration(profile: Profile,
     actual_mb = tenant.size_mb()
     warmup = max(2.0, profile.duration(30.0))
     testbed.run(until=warmup)
-    outcome = testbed.migrate_async(
+    runner = testbed.migrate_async(
         "A", "node1", options=MigrationOptions(strategy=strategy))
     transfer = (actual_mb / profile.rates.dump_mb_s
                 + restore_duration(actual_mb, profile.rates))
     cap = (warmup + profile.catchup_deadline + profile.duration(60.0)
            + 3.0 * transfer)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
+    env = testbed.env
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+    outcome = runner.value if runner.processed else {}
     report = outcome.get("report")
     if report is None:
         raise RuntimeError(
@@ -424,31 +426,35 @@ def run_multitenant_parallel_scenario(profile: Profile,
     testbed, names = _build_parallel_testbed(profile, trace_dir)
     warmup = max(2.0, profile.duration(30.0))
     cap = _parallel_run_cap(profile, warmup)
+    env = testbed.env
     testbed.run(until=warmup)
-    serial_start = testbed.env.now
+    serial_start = env.now
+    budget = env.timeout(cap - env.now)
     reports: List[MigrationReport] = []
     for name in names:
-        outcome = testbed.migrate_async(name, "node1")
-        testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
+        runner = testbed.migrate_async(name, "node1")
+        env.run(until=env.any_of([runner, budget]))
+        outcome = runner.value if runner.processed else {}
         report = outcome.get("report")
         if report is None:
             raise RuntimeError(
                 "serialized evacuation stalled on tenant %s: %s"
                 % (name, outcome.get("timeout")))
         reports.append(report)
-    serial_wall = testbed.env.now - serial_start
+    serial_wall = env.now - serial_start
     finished_reports("serialized", reports)
 
     # --- concurrent: the scheduler, per admission configuration ------
     for policy, max_concurrent in PARALLEL_SCHEDULES:
         testbed, names = _build_parallel_testbed(profile, trace_dir)
+        env = testbed.env
         testbed.run(until=warmup)
-        outcome = testbed.schedule_async(
+        runner = testbed.schedule_async(
             [(name, "node1") for name in names],
             ScheduleOptions(policy=policy,
                             max_concurrent=max_concurrent))
-        testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-        schedule = outcome.get("report")
+        env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+        schedule = runner.value["report"] if runner.processed else None
         if schedule is None or schedule.ok_count != len(names):
             raise RuntimeError(
                 "concurrent evacuation (%s) did not finish cleanly: %r"
@@ -512,18 +518,10 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
         policy=MADEUS, verify_consistency=True, drop_source_copy=True))
     fleet = RouterFleet(env, middleware, shards=ROUTER_SHARD_COUNT,
                         seed=profile.seed)
-    ready: Dict[str, bool] = {}
-
-    def setup(env: Environment) -> Any:
-        instance = cluster.node("node0").instance
-        yield from simplekv.setup_kv_tenant(instance, "A", ROUTER_KEYS)
-        instance.tenant("A").fixed_overhead_mb = ROUTER_TENANT_MB
-        middleware.register_tenant("A", "node0")
-        ready["ok"] = True
-
-    env.process(setup(env), name="bench.router.setup")
-    while "ok" not in ready:
-        env.run(until=env.now + 0.1)
+    env.run(until=env.process(
+        simplekv.setup_fleet_tenant(middleware, "A", "node0", ROUTER_KEYS,
+                                    ROUTER_TENANT_MB),
+        name="bench.router.setup"))
 
     stop = {"flag": False}
     workload = KvWorkloadResult()
@@ -531,25 +529,14 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
                               think_time=ROUTER_THINK_TIME)
     streams = StreamFactory(profile.seed)
 
-    def client(env: Environment, rng: Any) -> Any:
-        # Deadline-free load: clients issue transactions through the
-        # fleet until the mover finishes, then quiesce cleanly (never
-        # frozen mid-transaction, so the ack ledger stays exact).
-        conn = fleet.connect("A")
-        while not stop["flag"]:
-            yield env.timeout(rng.exponential(config.think_time))
-            if stop["flag"]:
-                return
-            if rng.random() < config.read_only_ratio:
-                yield from simplekv._read_only_txn(fleet, conn, rng,
-                                                   config, workload)
-            else:
-                yield from simplekv._update_txn(fleet, conn, rng,
-                                                config, workload)
-
+    # Deadline-free load: clients issue transactions through the fleet
+    # until the mover finishes, then quiesce cleanly (never frozen
+    # mid-transaction, so the ack ledger stays exact).
     clients = [
-        env.process(client(env, streams.stream("bench-router-%d" % i)),
-                    name="bench.router.kv.%d" % i)
+        env.process(simplekv.open_kv_client(
+            env, fleet, "A", streams.stream("bench-router-%d" % i),
+            config, workload, lambda: not stop["flag"]),
+            name="bench.router.kv.%d" % i)
         for i in range(ROUTER_CLIENTS)]
     counts = {"ok": 0, "failed": 0}
 
@@ -567,11 +554,8 @@ def _run_router_strategy(profile: Profile, strategy: SnapshotStrategy,
             yield env.timeout(ROUTER_GAP)
         stop["flag"] = True
 
-    env.process(mover(env), name="bench.router.mover")
-    while not stop["flag"]:
-        env.run(until=env.now + 10.0)
-    while any(proc.is_alive for proc in clients):
-        env.run(until=env.now + 10.0)
+    env.run(until=env.process(mover(env), name="bench.router.mover"))
+    env.run(until=env.all_of(clients))
     env.run(until=env.now + 1.0)
 
     # Safety ledger: every acknowledged increment must be on the final

@@ -258,12 +258,13 @@ def run_chaos(scenario: str,
             result["report"] = report
         except (CatchUpTimeout, MigrationError) as exc:
             result["error"] = exc
-        result["done"] = True
 
-    testbed.env.process(runner(), name="chaos-migrate-A")
+    env = testbed.env
     cap = warmup + (profile.catchup_deadline or 1000.0) \
         + profile.duration(300.0)
-    testbed.run_until(lambda: "done" in result, step=1.0, cap=cap)
+    env.run(until=env.any_of([
+        env.process(runner(), name="chaos-migrate-A"),
+        env.timeout(cap - env.now)]))
     report = result.get("report")
     error = result.get("error")
     if report is not None:

@@ -12,7 +12,7 @@ import itertools
 import os
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Union
 
 from ..cluster.cluster import Cluster
 from ..cluster.node import NodeSpec
@@ -29,7 +29,8 @@ from ..errors import CatchUpTimeout
 from ..obs.export import write_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from ..sim.core import Environment
+from ..sim.core import Environment, Process
+from ..sim.events import Event
 from ..sim.rand import StreamFactory
 from ..workload.tpcw import (
     EbConfig,
@@ -147,59 +148,54 @@ class Testbed:
         self.export_trace(path, meta={"tenant": tenant})
         return path
 
-    def run(self, until: float) -> None:
-        """Advance the simulation to ``until``."""
-        self.env.run(until=until)
-
-    def run_until(self, condition: Callable[[], bool], step: float = 10.0,
-                  cap: float = 100000.0) -> None:
-        """Advance in ``step`` chunks until ``condition()`` or ``cap``."""
-        while not condition() and self.env.now < cap:
-            self.env.run(until=self.env.now + step)
+    def run(self, until: Union[float, Event]) -> float:
+        """Advance the simulation to a time, or until an event is
+        processed; returns the simulated time reached."""
+        return self.env.run(until=until)
 
     def migrate_async(self, tenant: str, destination: str,
                       options: Optional[MigrationOptions] = None
-                      ) -> Dict[str, Any]:
-        """Launch a migration; returns a dict later holding the outcome.
+                      ) -> Process:
+        """Launch a migration; returns its runner process.
 
-        The returned dict gains ``report`` (a
+        The process's value is a dict holding ``report`` (a
         :class:`~repro.core.middleware.MigrationReport`) on success or
         ``timeout`` (a :class:`~repro.errors.CatchUpTimeout`) when the
-        slave diverges, plus ``done`` either way.  ``options`` defaults
-        to the profile's transfer rates; an explicit options object
-        without rates inherits them too.
+        slave diverges, plus ``trace_path`` when a trace was exported.
+        Wait on it with ``testbed.run(until=runner)``.  ``options``
+        defaults to the profile's transfer rates; an explicit options
+        object without rates inherits them too.
         """
         if options is None:
             options = MigrationOptions(rates=self.profile.rates)
         elif options.rates is None:
             options = replace(options, rates=self.profile.rates)
-        outcome: Dict[str, Any] = {}
 
         def runner() -> Generator:
+            outcome: Dict[str, Any] = {}
             try:
                 report = yield from self.middleware.migrate(
                     tenant, destination, options)
                 outcome["report"] = report
             except CatchUpTimeout as exc:
                 outcome["timeout"] = exc
-            outcome["done"] = True
             trace_path = self._maybe_export_trace(tenant)
             if trace_path is not None:
                 outcome["trace_path"] = trace_path
-        self.env.process(runner(), name="migrate-%s" % tenant)
-        return outcome
+            return outcome
+        return self.env.process(runner(), name="migrate-%s" % tenant)
 
     def schedule_async(self, jobs: List[Any],
                        options: Optional[ScheduleOptions] = None
-                       ) -> Dict[str, Any]:
+                       ) -> Process:
         """Launch several migrations under a :class:`MigrationScheduler`.
 
         ``jobs`` is a list of ``(tenant, destination)`` pairs.  Mirrors
-        :meth:`migrate_async`: the returned dict gains ``report`` (a
-        :class:`~repro.core.scheduler.ScheduleReport`) and ``done``
-        when the whole schedule has finished; per-job errors live on
-        the report's job outcomes, they never surface here.  The
-        schedule's default migration options inherit the profile's
+        :meth:`migrate_async`: the returned runner process ends with
+        the whole schedule, its value a dict holding ``report`` (a
+        :class:`~repro.core.scheduler.ScheduleReport`); per-job errors
+        live on the report's job outcomes, they never surface here.
+        The schedule's default migration options inherit the profile's
         transfer rates unless overridden.
         """
         options = options or ScheduleOptions()
@@ -212,17 +208,15 @@ class Testbed:
         scheduler = MigrationScheduler(self.middleware, options)
         for tenant, destination in jobs:
             scheduler.submit(tenant, destination)
-        outcome: Dict[str, Any] = {}
 
         def runner() -> Generator:
-            report = yield from scheduler.run()
-            outcome["report"] = report
-            outcome["done"] = True
+            outcome: Dict[str, Any] = {}
+            outcome["report"] = yield from scheduler.run()
             trace_path = self._maybe_export_trace("schedule")
             if trace_path is not None:
                 outcome["trace_path"] = trace_path
-        self.env.process(runner(), name="schedule")
-        return outcome
+            return outcome
+        return self.env.process(runner(), name="schedule")
 
 
 def build_testbed(profile: Profile,

@@ -64,7 +64,7 @@ def run_one_size(items: int, population_ebs: int,
     testbed.run(until=warmup)
     # Figure 9's superlinearity comes from the serial restore's index
     # builds, so the streamed snapshot path is pinned off here.
-    outcome = testbed.migrate_async(
+    runner = testbed.migrate_async(
         "A", "node1", options=MigrationOptions(strategy="serial"))
     # Large databases legitimately take long; the patience budget is
     # several times the closed-form dump+restore estimate (the size is
@@ -74,8 +74,9 @@ def run_one_size(items: int, population_ebs: int,
                 + restore_duration(size_mb, profile.rates))
     cap = (warmup + profile.catchup_deadline + profile.duration(60.0)
            + 3.0 * pipeline)
-    testbed.run_until(lambda: "done" in outcome, step=10.0, cap=cap)
-    report = outcome.get("report")
+    env = testbed.env
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+    report = runner.value.get("report") if runner.processed else None
     if report is None:
         return SizeResult(items, population_ebs, size_mb, None)
     return SizeResult(items, population_ebs, size_mb,

@@ -70,10 +70,12 @@ def run_one(policy: PropagationPolicy, paper_ebs: int,
     testbed.run(until=warmup)
     # Figure 6 reproduces the paper's serial dump -> ship -> restore
     # timings, so the streamed snapshot path is pinned off here.
-    outcome = testbed.migrate_async(
+    runner = testbed.migrate_async(
         "A", "node1", options=MigrationOptions(strategy="serial"))
+    env = testbed.env
     cap = warmup + profile.catchup_deadline + profile.duration(300.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+    outcome = runner.value if runner.processed else {}
     if "report" in outcome:
         report = outcome["report"]
         return MigrationResult(

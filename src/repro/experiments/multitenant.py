@@ -90,12 +90,13 @@ def run_case(migrate_tenant: str,
     order_at = max(3.0, profile.duration(PAPER_MIGRATION_ORDER_AT) * 0.3)
     testbed.run(until=order_at)
     # Paper-faithful case timings: serial dump -> ship -> restore.
-    outcome = testbed.migrate_async(
+    runner = testbed.migrate_async(
         migrate_tenant, "node1", options=MigrationOptions(strategy="serial"))
+    env = testbed.env
     cap = order_at + profile.catchup_deadline + profile.duration(600.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    report = outcome.get("report")
-    end = report.ended_at if report is not None else testbed.env.now
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+    report = runner.value.get("report") if runner.processed else None
+    end = report.ended_at if report is not None else env.now
     tail = profile.duration(200.0)
     final = end + tail
     testbed.run(until=final)
@@ -170,25 +171,20 @@ def run_parallel_evacuation(profile: Optional[Profile] = None,
     profile = profile or get_profile()
     cap_extra = profile.catchup_deadline + profile.duration(600.0)
     testbed, order_at = _evacuation_testbed(profile, trace_dir)
-    serial_start = testbed.env.now
-    serial_end = serial_start
+    env = testbed.env
+    serial_start = env.now
+    budget = env.timeout(cap_extra)
     for tenant in ("A", "C"):
-        outcome = testbed.migrate_async(tenant, "node1")
-        testbed.run_until(lambda: "done" in outcome, step=5.0,
-                          cap=serial_start + cap_extra)
-        report = outcome.get("report")
-        # run_until advances in coarse steps; the report's own end
-        # time keeps the baseline honest
-        serial_end = (report.ended_at if report is not None
-                      else testbed.env.now)
-    serialized_wall = serial_end - serial_start
+        env.run(until=env.any_of([testbed.migrate_async(tenant, "node1"),
+                                  budget]))
+    serialized_wall = env.now - serial_start
     testbed, order_at = _evacuation_testbed(profile, trace_dir)
-    outcome = testbed.schedule_async([("A", "node1"), ("C", "node1")],
-                                     ScheduleOptions(policy="fifo"))
-    testbed.run_until(lambda: "done" in outcome, step=5.0,
-                      cap=testbed.env.now + cap_extra)
+    env = testbed.env
+    runner = testbed.schedule_async([("A", "node1"), ("C", "node1")],
+                                    ScheduleOptions(policy="fifo"))
+    env.run(until=env.any_of([runner, env.timeout(cap_extra)]))
     return ParallelResult(serialized_wall_clock=serialized_wall,
-                          schedule=outcome["report"])
+                          schedule=runner.value["report"])
 
 
 def report_parallel(result: ParallelResult) -> str:

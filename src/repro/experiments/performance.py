@@ -60,12 +60,13 @@ def run_timeline(profile: Optional[Profile] = None,
         checkpoints=checkpoints, trace_dir=trace_dir)
     testbed.run(until=start)
     # Paper-faithful timeline: serial dump -> ship -> restore.
-    outcome = testbed.migrate_async(
+    runner = testbed.migrate_async(
         "A", "node1", options=MigrationOptions(strategy="serial"))
+    env = testbed.env
     cap = start + profile.catchup_deadline + profile.duration(400.0)
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
-    report = outcome.get("report")
-    end = report.ended_at if report is not None else testbed.env.now
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
+    report = runner.value.get("report") if runner.processed else None
+    end = report.ended_at if report is not None else env.now
     final = max(run_length, end + profile.duration(60.0))
     testbed.run(until=final)
     metrics = testbed.metrics["A"]

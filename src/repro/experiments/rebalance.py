@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..cluster.cluster import Cluster
 from ..control import RebalanceOptions, Rebalancer, imbalance_coefficient
@@ -138,35 +138,6 @@ class RebalanceOutcome:
         }
 
 
-def _kv_client(env: Environment, middleware: Middleware, tenant: str,
-               rng: Any, config: KvWorkloadConfig,
-               result: KvWorkloadResult,
-               deadline: float) -> Generator[Any, Any, None]:
-    """A deadline-bounded kv client reading its think time live.
-
-    ``config.think_time`` is mutated by the phase schedule while the
-    client runs — each loop iteration re-reads it, so a tenant turns
-    hot or cold without restarting its client.
-    """
-    conn = middleware.connect(tenant)
-    while env.now < deadline:
-        yield env.timeout(rng.exponential(config.think_time))
-        if env.now >= deadline:
-            return
-        if rng.random() < config.read_only_ratio:
-            yield from simplekv._read_only_txn(middleware, conn, rng,
-                                               config, result)
-        else:
-            yield from simplekv._update_txn(middleware, conn, rng,
-                                            config, result)
-
-
-def _run_until(env: Environment, condition: Any, step: float,
-               cap: float) -> None:
-    while not condition() and env.now < cap:
-        env.run(until=env.now + step)
-
-
 def run_rebalance(profile: Optional[Profile] = None, *,
                   seed: Optional[int] = None,
                   tenants: int = 100,
@@ -210,22 +181,11 @@ def run_rebalance(profile: Optional[Profile] = None, *,
 
     # -- tenants + load -------------------------------------------------
     streams = StreamFactory(root_seed)
-    ready: Dict[str, bool] = {}
-
-    def setup(tenant: str, home: str) -> Generator[Any, Any, None]:
-        instance = cluster.node(home).instance
-        yield from simplekv.setup_kv_tenant(instance, tenant, KV_KEYS)
-        instance.tenant(tenant).fixed_overhead_mb = TENANT_MB
-        middleware.register_tenant(tenant, home)
-        ready[tenant] = True
-
-    for tenant in tenant_names:
-        env.process(setup(tenant, node_names[group_of[tenant]]),
-                    name="rebalance.setup.%s" % tenant)
-    _run_until(env, lambda: len(ready) == len(tenant_names), step=0.5,
-               cap=120.0)
-    if len(ready) != len(tenant_names):
-        raise RuntimeError("tenant setup did not finish")
+    env.run(until=env.all_of([
+        env.process(simplekv.setup_fleet_tenant(
+            middleware, tenant, node_names[group_of[tenant]], KV_KEYS,
+            TENANT_MB), name="rebalance.setup.%s" % tenant)
+        for tenant in tenant_names]))
 
     horizon = env.now + phases * phase_seconds
     configs: Dict[str, KvWorkloadConfig] = {}
@@ -240,8 +200,8 @@ def run_rebalance(profile: Optional[Profile] = None, *,
         workloads[tenant] = result
         rng = streams.stream("rebalance-kv-%s" % tenant)
         client_procs.append(env.process(
-            _kv_client(env, middleware, tenant, rng, config, result,
-                       horizon),
+            simplekv.open_kv_client(env, middleware, tenant, rng, config,
+                                    result, lambda: env.now < horizon),
             name="rebalance.kv.%s" % tenant))
 
     # -- the control plane ----------------------------------------------
@@ -298,11 +258,9 @@ def run_rebalance(profile: Optional[Profile] = None, *,
 
     # -- stop, quiesce, audit -------------------------------------------
     stop_proc = env.process(rebalancer.stop(), name="rebalance.stop")
-    _run_until(env, lambda: stop_proc.triggered, step=5.0,
-               cap=env.now + 600.0)
-    _run_until(env, lambda: all(not proc.is_alive
-                                for proc in client_procs),
-               step=5.0, cap=env.now + 600.0)
+    env.run(until=env.any_of([stop_proc, env.timeout(600.0)]))
+    env.run(until=env.any_of([env.all_of(client_procs),
+                              env.timeout(600.0)]))
     env.run(until=env.now + 5.0)
     control_report = rebalancer.report
     outcome.samples = control_report.samples

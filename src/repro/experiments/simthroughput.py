@@ -262,10 +262,12 @@ def _timed_migration(profile: Profile) -> Dict[str, Any]:
            + 3.0 * transfer)
     start = time.perf_counter()
     testbed.run(until=warmup)
-    outcome = testbed.migrate_async("A", "node1",
-                                    options=MigrationOptions())
-    testbed.run_until(lambda: "done" in outcome, step=5.0, cap=cap)
+    runner = testbed.migrate_async("A", "node1",
+                                   options=MigrationOptions())
+    env = testbed.env
+    env.run(until=env.any_of([runner, env.timeout(cap - env.now)]))
     wall = time.perf_counter() - start
+    outcome = runner.value if runner.processed else {}
     report = outcome.get("report")
     if report is None:
         raise RuntimeError(

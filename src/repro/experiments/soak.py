@@ -198,34 +198,6 @@ class SoakOutcome:
         }
 
 
-def _kv_client(env: Environment, gateway: Any, tenant: str,
-               rng: Any, config: KvWorkloadConfig,
-               result: KvWorkloadResult,
-               deadline: float) -> Generator[Any, Any, None]:
-    """A kv client that stops issuing transactions at ``deadline``.
-
-    Unlike :func:`repro.workload.simplekv.kv_client` (fixed transaction
-    budget), the soak needs load across the whole horizon and a clean
-    quiesce afterwards, so the loop is bounded by the simulated clock —
-    the client always finishes shortly after the horizon closes, never
-    mid-transaction.  ``gateway`` is anything with the middleware's
-    ``connect``/``submit`` surface — here the
-    :class:`~repro.router.RouterFleet`, so every transaction rides the
-    crashable router tier.
-    """
-    conn = gateway.connect(tenant)
-    while env.now < deadline:
-        yield env.timeout(rng.exponential(config.think_time))
-        if env.now >= deadline:
-            return
-        if rng.random() < config.read_only_ratio:
-            yield from simplekv._read_only_txn(gateway, conn, rng,
-                                               config, result)
-        else:
-            yield from simplekv._update_txn(gateway, conn, rng,
-                                            config, result)
-
-
 def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
                    options: MigrationOptions,
                    holder: Dict[str, Any]) -> Generator[Any, Any, None]:
@@ -254,13 +226,6 @@ def _resume_parked(middleware: Middleware, cluster: Cluster, tenant: str,
         # so the next wave schedules an ordinary fresh migration.
         holder["outcome"] = "failed"
         holder["error"] = str(exc)
-    holder["done"] = True
-
-
-def _run_until(env: Environment, condition: Any, step: float,
-               cap: float) -> None:
-    while not condition() and env.now < cap:
-        env.run(until=env.now + step)
 
 
 def run_soak(profile: Optional[Profile] = None, *,
@@ -304,20 +269,11 @@ def run_soak(profile: Optional[Profile] = None, *,
     # -- tenants + load -------------------------------------------------
     workloads: Dict[str, KvWorkloadResult] = {}
     streams = StreamFactory(root_seed)
-    ready: Dict[str, bool] = {}
-
-    def setup(tenant: str, home: str) -> Generator[Any, Any, None]:
-        instance = cluster.node(home).instance
-        yield from simplekv.setup_kv_tenant(instance, tenant, KV_KEYS)
-        instance.tenant(tenant).fixed_overhead_mb = TENANT_MB
-        middleware.register_tenant(tenant, home)
-        ready[tenant] = True
-
-    for index, tenant in enumerate(tenant_names):
-        env.process(setup(tenant, node_names[index % nodes]),
-                    name="soak.setup.%s" % tenant)
-    _run_until(env, lambda: len(ready) == len(tenant_names), step=0.5,
-               cap=60.0)
+    env.run(until=env.all_of([
+        env.process(simplekv.setup_fleet_tenant(
+            middleware, tenant, node_names[index % nodes], KV_KEYS,
+            TENANT_MB), name="soak.setup.%s" % tenant)
+        for index, tenant in enumerate(tenant_names)]))
     kv_config = KvWorkloadConfig(keys=KV_KEYS, clients=KV_CLIENTS,
                                  think_time=KV_THINK_TIME,
                                  read_only_ratio=0.4)
@@ -328,8 +284,9 @@ def run_soak(profile: Optional[Profile] = None, *,
         for client in range(KV_CLIENTS):
             rng = streams.stream("soak-kv-%s-%d" % (tenant, client))
             client_procs.append(env.process(
-                _kv_client(env, fleet, tenant, rng, kv_config,
-                           result, horizon),
+                simplekv.open_kv_client(
+                    env, fleet, tenant, rng, kv_config, result,
+                    lambda: env.now < horizon),
                 name="soak.kv.%s.%d" % (tenant, client)))
 
     # -- generated fault scenario ---------------------------------------
@@ -368,14 +325,15 @@ def run_soak(profile: Optional[Profile] = None, *,
     def run_wave(wave_index: int) -> Dict[str, Any]:
         started = env.now
         resumers: Dict[str, Dict[str, Any]] = {}
+        runners = []
         for tenant in tenant_names:
             if parked(tenant):
                 holder: Dict[str, Any] = {}
                 resumers[tenant] = holder
-                env.process(
+                runners.append(env.process(
                     _resume_parked(middleware, cluster, tenant,
                                    migration_options, holder),
-                    name="soak.resume.%s" % tenant)
+                    name="soak.resume.%s" % tenant))
         scheduler = MigrationScheduler(middleware, schedule_options,
                                        router=fleet)
         movers = [tenant for tenant in tenant_names
@@ -388,31 +346,19 @@ def run_soak(profile: Optional[Profile] = None, *,
                           if name not in (source, destination)]
             scheduler.submit(tenant, destination,
                              alternates=alternates)
-        schedule_holder: Dict[str, Any] = {}
-
-        def schedule_runner() -> Generator[Any, Any, None]:
-            schedule_holder["report"] = yield from scheduler.run()
-            schedule_holder["done"] = True
-
+        schedule = None
         if movers:
-            env.process(schedule_runner(),
-                        name="soak.wave.%d" % wave_index)
-        else:
-            schedule_holder["done"] = True
-
-        def wave_done() -> bool:
-            return ("done" in schedule_holder
-                    and all("done" in holder
-                            for holder in resumers.values()))
-
-        _run_until(env, wave_done, step=5.0, cap=started + WAVE_CAP)
-        wedged = not wave_done()
+            schedule = env.process(scheduler.run(),
+                                   name="soak.wave.%d" % wave_index)
+            runners.append(schedule)
+        wave = env.all_of(runners)
+        env.run(until=env.any_of([wave, env.timeout(WAVE_CAP)]))
+        wedged = not wave.triggered
         if wedged:
             outcome.wedged_waves += 1
         jobs: List[Dict[str, Any]] = []
-        schedule_report = schedule_holder.get("report")
-        if schedule_report is not None:
-            for job in schedule_report.jobs:
+        if schedule is not None and schedule.processed:
+            for job in schedule.value.jobs:
                 jobs.append({"tenant": job.tenant,
                              "outcome": job.outcome,
                              "attempts": job.attempts,
@@ -470,12 +416,12 @@ def run_soak(profile: Optional[Profile] = None, *,
         outcome.waves.append(run_wave(wave_index))
 
     # -- quiesce and verify ---------------------------------------------
-    _run_until(env, lambda: all(not proc.is_alive
-                                for proc in client_procs),
-               step=5.0, cap=env.now + 600.0)
-    _run_until(env, lambda: all(not cluster.node(name).instance.crashed
-                                for name in node_names),
-               step=5.0, cap=env.now + 600.0)
+    env.run(until=env.any_of([env.all_of(client_procs),
+                              env.timeout(600.0)]))
+    env.run(until=env.any_of([
+        env.all_of([cluster.node(name).instance.wait_recovered()
+                    for name in node_names]),
+        env.timeout(600.0)]))
     env.run(until=env.now + 5.0)
     injector.close()
     check_owners("final")

@@ -12,6 +12,7 @@ the live-instrumented values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Optional
 
@@ -142,14 +143,17 @@ class QuantileHistogram(Histogram):
         self.samples.append(value)
 
     def quantile(self, q: float) -> float:
-        """Exact q-quantile (nearest-rank) of the samples; 0.0 if empty."""
+        """Exact q-quantile of the samples; 0.0 if empty.
+
+        Nearest rank: the sorted sample at 0-based index
+        ``ceil(q * n) - 1`` (index 0 for ``q == 0``).
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile %r outside [0, 1]" % (q,))
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[rank]
+        return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
     def reset(self) -> None:
         """Forget every sample."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, Iterable, List, Optional, Tuple, Union
 
 from .events import (
     PENDING,
@@ -284,17 +284,39 @@ class Environment:
             else:
                 callbacks(event)
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queues drain or simulated time reaches ``until``."""
-        if until is not None:
+    def run(self, until: Union[float, Event, None] = None) -> float:
+        """Run until the queues drain or ``until`` is reached.
+
+        ``until`` is a simulated time or an :class:`Event`.  An event
+        stops the run at the instant it is processed (at once if it
+        already was), so a caller waits on exactly the event that ends
+        its work: ``env.run(until=process)``, or under a budget
+        ``env.run(until=env.any_of([process, env.timeout(cap)]))``.
+        A failed event raises its exception from here.  Returns the
+        simulated time the run stopped at.
+        """
+        # The stop entry is an URGENT event whose callback raises
+        # StopSimulation; it pre-empts same-time normal events.
+        stop = Event(self)
+        stop.callbacks = self._stop_callback
+        stop._state = TRIGGERED
+        arm = None
+        if isinstance(until, Event):
+            if until._state is PROCESSED:
+                return self._now
+
+            def arm(_event: Event) -> None:
+                # Queued only once ``until`` is processed, so every
+                # other waiter on it still runs first and no stop entry
+                # is left behind when the queue drains.
+                self._seq += 1
+                heappush(self._queue, (self._now, self._seq - URGENT_BIAS,
+                                       stop))
+            until.add_callback(arm)
+        elif until is not None:
             if until < self._now:
                 raise ValueError("until=%r is in the past (now=%r)"
                                  % (until, self._now))
-            stop = Event(self)
-            stop.callbacks = self._stop_callback
-            stop._state = TRIGGERED
-            # URGENT priority (negative-bias key): the stop event
-            # pre-empts same-time events.
             self._seq += 1
             heappush(self._queue, (until, self._seq - URGENT_BIAS, stop))
         # Inlined dispatch loop; see module docstring.  The single-waiter
@@ -389,6 +411,21 @@ class Environment:
                     callbacks(event)
         except StopSimulation:
             pass
+        finally:
+            # A run left by an exception must not leave a live stop
+            # entry (or a pending arm) to end a later run early.
+            stop.callbacks = None
+            if arm is not None:
+                until.remove_callback(arm)
+        if arm is not None:
+            if until._state is not PROCESSED:
+                raise RuntimeError("no events left, but %r was never "
+                                   "processed" % until)
+            if until._exception is not None:
+                # A failed ``until`` re-raises here, like an unwaited
+                # process crash would have.
+                raise until._exception
+        return self._now
 
     @staticmethod
     def _stop_callback(_event: Event) -> None:

@@ -9,7 +9,7 @@ is counted so tests can check the final state value-by-value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator
 
 from ..core.middleware import Connection, Middleware
 from ..engine.session import Session
@@ -61,6 +61,47 @@ def setup_kv_tenant(instance: "DbmsInstance", tenant: str,
         assert result.ok, result.error
         result = yield from session.execute("COMMIT")
         assert result.ok, result.error
+
+
+def setup_fleet_tenant(middleware: Middleware, tenant: str, home: str,
+                       keys: int,
+                       size_mb: float) -> Generator[Any, Any, None]:
+    """Create a kv tenant on node ``home`` and register it for routing.
+
+    ``size_mb`` pins the tenant's size model, so a handful of rows
+    migrates like a database of that size.
+    """
+    instance = middleware.cluster.node(home).instance
+    yield from setup_kv_tenant(instance, tenant, keys)
+    instance.tenant(tenant).fixed_overhead_mb = size_mb
+    middleware.register_tenant(tenant, home)
+
+
+def open_kv_client(env: "Environment", gateway: Any, tenant: str,
+                   rng: RandomStream, config: KvWorkloadConfig,
+                   result: KvWorkloadResult,
+                   running: Callable[[], bool]
+                   ) -> Generator[Any, Any, None]:
+    """A kv client that keeps issuing transactions while ``running()``.
+
+    Unlike :func:`kv_client` (fixed transaction budget), this gives
+    load for as long as a run lasts and a clean quiesce afterwards:
+    ``running()`` is checked before and after every think time, so the
+    client never stops mid-transaction.  ``config.think_time`` is
+    re-read every iteration, so a phase schedule may change it while
+    the client runs.  ``gateway`` is anything with the middleware's
+    ``connect``/``submit`` surface, e.g. a
+    :class:`~repro.router.RouterFleet`.
+    """
+    conn = gateway.connect(tenant)
+    while running():
+        yield env.timeout(rng.exponential(config.think_time))
+        if not running():
+            return
+        if rng.random() < config.read_only_ratio:
+            yield from _read_only_txn(gateway, conn, rng, config, result)
+        else:
+            yield from _update_txn(gateway, conn, rng, config, result)
 
 
 def kv_client(env: "Environment", middleware: Middleware, tenant: str,

@@ -29,8 +29,9 @@ def _migrate_once(trace_dir):
     testbed = build_testbed(SMOKE, [TenantSetup("A", "node0",
                                                 paper_ebs=20)],
                             trace_dir=str(trace_dir))
-    outcome = testbed.migrate_async("A", "node1")
-    testbed.run_until(lambda: outcome.get("done", False))
+    runner = testbed.migrate_async("A", "node1")
+    testbed.run(until=runner)
+    outcome = runner.value
     assert "report" in outcome, "seeded smoke migration must finish"
     with open(outcome["trace_path"]) as handle:
         records = handle.read()
@@ -81,9 +82,9 @@ def _run_seeded(seed):
     profile = seeded(SMOKE, seed)
     testbed = build_testbed(profile, [TenantSetup("A", "node0",
                                                   paper_ebs=20)])
-    outcome = testbed.migrate_async("A", "node1")
-    testbed.run_until(lambda: outcome.get("done", False))
-    return outcome["report"], testbed
+    runner = testbed.migrate_async("A", "node1")
+    testbed.run(until=runner)
+    return runner.value["report"], testbed
 
 
 # ---------------------------------------------------------------------
@@ -213,25 +214,53 @@ def test_resume_after_a_mid_dump_source_crash_is_pinned(strategy):
         == RESUME_PINS[strategy]
 
 
-def test_resumed_serial_migration_streams_from_the_journal():
-    """A serial migration whose manager dies mid-dump resumes on the
-    streamed path: chunked, re-shipping the whole frozen plan."""
+def _resume_after_a_manager_kill(strategy):
+    """Kill the migration's manager 1 s into the dump, then resume."""
     env, _cluster, middleware = _journalled_testbed(2)
     holder = {}
 
     def main(env):
         with pytest.raises(Interrupt):
             yield from middleware.migrate("A", "node1",
-                                          _snapshot_options("serial"))
+                                          _snapshot_options(strategy))
         holder["killed"] = True
     manager = env.process(main(env))
     env.run(until=env.now + 1.0)
     manager.interrupt("manager died")
     env.run(until=env.now + 0.5)
     assert holder["killed"]
-    report = _resume(env, middleware, "serial")
-    assert report.strategy == "serial" and report.pipelined is False
-    assert _pinned(report, middleware.migration_journal("A")) == (
+    report = _resume(env, middleware, strategy)
+    assert report.strategy == strategy
+    return _pinned(report, middleware.migration_journal("A")), report
+
+
+def test_resumed_serial_migration_streams_from_the_journal():
+    """A serial migration whose manager dies mid-dump resumes on the
+    streamed path: chunked, re-shipping the whole frozen plan."""
+    pinned, report = _resume_after_a_manager_kill("serial")
+    assert report.pipelined is False
+    assert pinned == (
         (1.75, 3.7946719999999994, 6.944934443636367, 7.616117776969814,
          7.664441110303156, 7.664441110303156),
         11, 0, 0, {"node1": list(range(11))})
+
+
+#: ``_pinned`` tuples for a resume after the manager dies mid-dump.
+MANAGER_KILL_PINS = {
+    # The interrupted dump held the source disk's head; it must be
+    # given back, or the resumed run's first disk read waits forever.
+    "pipelined": (
+        (1.75, 3.422913454545454, 6.035538080000002, 6.6615214133334435,
+         6.717748080000121, 6.717748080000121),
+        9, 2, 0, {"node1": list(range(11))}),
+    "watermark": (
+        (1.75, 7.465103104000003, 7.465103104000003, 7.465103104000003,
+         7.467103104000003, 7.467103104000003),
+        13, 3, 0, {"node1": list(range(16))}),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(MANAGER_KILL_PINS))
+def test_resume_after_a_manager_kill_is_pinned(strategy):
+    pinned, _report = _resume_after_a_manager_kill(strategy)
+    assert pinned == MANAGER_KILL_PINS[strategy]

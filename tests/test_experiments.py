@@ -69,9 +69,10 @@ class TestTestbedBuilder:
         testbed = build_testbed(SMOKE,
                                 [TenantSetup("A", "node0", paper_ebs=100)])
         testbed.run(until=1.0)
-        outcome = testbed.migrate_async("A", "node1")
-        testbed.run_until(lambda: "done" in outcome, step=2.0, cap=300.0)
-        assert outcome["report"].consistent is True
+        runner = testbed.migrate_async("A", "node1")
+        env = testbed.env
+        env.run(until=env.any_of([runner, env.timeout(299.0)]))
+        assert runner.value["report"].consistent is True
 
 
 class TestFigure5:

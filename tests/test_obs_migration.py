@@ -138,9 +138,10 @@ class TestTestbedTraceArtifacts:
         testbed = build_testbed(
             SMOKE, [TenantSetup("A", "node0", paper_ebs=100)])
         testbed.run(until=1.0)
-        outcome = testbed.migrate_async("A", "node1")
-        testbed.run_until(lambda: "done" in outcome, step=2.0,
-                          cap=300.0)
+        runner = testbed.migrate_async("A", "node1")
+        env = testbed.env
+        env.run(until=env.any_of([runner, env.timeout(299.0)]))
+        outcome = runner.value
         assert "report" in outcome
         path = outcome["trace_path"]
         assert path.endswith("_Madeus_A.jsonl")

@@ -10,6 +10,7 @@ route detection, crash/restart), and the ``router_crash`` fault kind
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import MigrationOptions, SnapshotStrategy
 from repro.core.pipeline import ChangeTap
@@ -44,9 +45,23 @@ class TestQuantileHistogram:
         assert histogram.count == 100
         assert histogram.min == 1.0 and histogram.max == 100.0
         assert histogram.quantile(0.0) == 1.0
-        assert histogram.quantile(0.5) == 51.0
-        assert histogram.quantile(0.99) == 100.0
+        assert histogram.quantile(0.5) == 50.0
+        assert histogram.quantile(0.99) == 99.0
         assert histogram.quantile(1.0) == 100.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=60),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_quantile_is_the_nearest_rank(self, samples, q):
+        histogram = QuantileHistogram("t")
+        for value in samples:
+            histogram.observe(value)
+        # Nearest rank: the smallest sample with at least q*n samples
+        # at or below it.
+        expected = min(value for value in samples
+                       if sum(1 for other in samples if other <= value)
+                       >= q * len(samples))
+        assert histogram.quantile(q) == expected
 
     def test_empty_and_reset(self):
         histogram = QuantileHistogram("t")
@@ -67,7 +82,7 @@ class TestQuantileHistogram:
         record = histogram.to_dict()
         assert record["kind"] == "quantile_histogram"
         assert record["count"] == 2
-        assert record["p50"] == 9.0
+        assert record["p50"] == 1.0
         assert record["p99"] == 9.0
 
     def test_registry_keeps_kinds_apart(self):

@@ -101,6 +101,78 @@ class TestRunUntil:
         assert done == [10]
 
 
+class TestRunUntilEvent:
+    def test_stops_at_the_instant_the_event_is_processed(self, env):
+        def worker(env):
+            yield env.timeout(7.25)
+
+        def background(env):
+            while True:
+                yield env.timeout(5)
+        env.process(background(env))
+        assert env.run(until=env.process(worker(env))) == 7.25
+        assert env.now == 7.25
+
+    def test_processed_event_returns_at_once(self, env):
+        done = env.timeout(2)
+        env.run()
+        env.timeout(50)
+        assert env.run(until=done) == 2
+        assert env.now == 2
+
+    def test_cap_through_any_of(self, env):
+        def worker(env):
+            yield env.timeout(100)
+        proc = env.process(worker(env))
+        env.run(until=env.any_of([proc, env.timeout(30)]))
+        assert env.now == 30 and proc.is_alive
+
+    def test_no_stop_entry_survives_the_run(self, env):
+        def ticker(env):
+            while True:
+                yield env.timeout(1)
+        env.process(ticker(env))
+        env.run(until=env.timeout(3))
+        # A later run goes the full distance: nothing left over from
+        # the event stop ends it early.
+        assert env.run(until=10) == 10
+        env.run(until=env.timeout(0.5))
+        assert env.now == 10.5
+
+    def test_waiters_registered_after_the_run_began_still_resume(self, env):
+        seen = []
+        target = env.timeout(4)
+
+        def late(env):
+            yield env.timeout(1)
+            yield target
+            seen.append(env.now)
+        env.process(late(env))
+        env.run(until=target)
+        assert seen == [4]
+
+    def test_failed_event_raises_its_exception(self, env):
+        def crash(env):
+            yield env.timeout(1)
+            raise KeyError("boom")
+        with pytest.raises(KeyError):
+            env.run(until=env.process(crash(env)))
+        assert env.now == 1
+
+    def test_event_never_processed_raises(self, env):
+        with pytest.raises(RuntimeError):
+            env.run(until=env.event())
+        # The abandoned stop hook is gone: triggering the event later
+        # does not end an unrelated run.
+        orphan = env.event()
+        with pytest.raises(RuntimeError):
+            env.run(until=orphan)
+        orphan.succeed()
+        env.timeout(5)
+        env.run()
+        assert env.now == 5
+
+
 class TestProcess:
     def test_return_value(self, env):
         def proc(env):
